@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .config import CampaignConfig, load_config, parse_config
 from .corpus_io import format_program, load_seed_corpus, parse_program
-from .fuzzing import CampaignReport, FuzzCampaign, dedup, fuzz_loop, preserve, select_seed
+from .fuzzing import CampaignReport, FuzzCampaign, dedup, preserve
 from .minitee import ExecutionResult, FaultRecord, MiniTee, seeded_bug_catalog
 from .payload import deserialize_payload, serialize_payload
 from .probe import SimProbe
@@ -15,7 +15,6 @@ from .statevars import (
     infer_state_vars,
     load_regions,
     save_regions,
-    state_hash,
     state_hash_from_snapshots,
 )
 from .templates import load_bundled_templates, load_templates, parse_templates
@@ -27,12 +26,4 @@ from .testcase import (
     mutate_testcase,
     validate_testcase,
 )
-from .tracecov import (
-    LcsajBlock,
-    TracePacket,
-    build_blocks,
-    coverage_of,
-    filter_packets,
-    fnv1a64,
-    hash_block,
-)
+from .tracecov import TracePacket, coverage_of, fnv1a64

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: fuzz, infer-state, replay, stt-export, plot, bench.
+Subcommands: fuzz, infer-state, replay, stt-export, plot.
 Log level comes from the SYZT_LOG environment variable.
 """
 
@@ -11,7 +11,6 @@ import json
 import logging
 import os
 import sys
-import time
 from pathlib import Path
 from random import Random
 
@@ -22,7 +21,7 @@ from .minitee import GROUND_TRUTH_REGIONS
 from .payload import PayloadError, deserialize_payload
 from .probe import SimProbe
 from .templates import TemplateSet, bundled_template_path, load_templates
-from .testcase import TestCase, generate_testcase
+from .testcase import TestCase
 from .tracecov import coverage_of
 
 log = logging.getLogger("teefuzz")
@@ -60,13 +59,13 @@ def cmd_fuzz(args) -> int:
                     "inferred-regions file (run infer-state first)"
                 )
             regions = statevars.load_regions(cfg.regions_file)
-    except (ConfigError, FileNotFoundError, OSError) as e:
+    except (ConfigError, OSError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    probe = SimProbe(cfg.campaign_seed)
-    report = fuzzing.fuzz_loop(cfg, probe, templates, seeds, regions, out_dir)
+    probe = SimProbe(cfg.campaign_seed, templates)
+    report = fuzzing.FuzzCampaign(cfg, probe, templates, seeds, regions, out_dir).run()
     print(
         f"executions={report.executions} branches={report.unique_branches} "
         f"states={report.unique_states} crashes={len(report.unique_crashes)}"
@@ -87,7 +86,7 @@ def cmd_infer_state(args) -> int:
     except (ConfigError, FileNotFoundError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    probe = SimProbe(cfg.campaign_seed)
+    probe = SimProbe(cfg.campaign_seed, templates)
     rng = Random(cfg.campaign_seed)
     logbook = statevars.collect_snapshots(
         seeds, cfg.infer_budget, probe, templates, rng, cfg.max_len
@@ -122,7 +121,7 @@ def cmd_replay(args) -> int:
     except PayloadError as e:
         print(f"decode error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    probe = SimProbe(args.campaign_seed)
+    probe = SimProbe(args.campaign_seed, templates)
     result = probe.submit(payload)
     for i, sr in enumerate(result.per_syscall):
         name = templates.by_ordinal[tc.calls[i].ordinal].name
@@ -152,7 +151,7 @@ def cmd_stt_export(args) -> int:
         print("error: corpus is empty", file=sys.stderr)
         return EXIT_ERROR
     regions = statevars.load_regions(args.regions) if args.regions else []
-    probe = SimProbe(args.campaign_seed)
+    probe = SimProbe(args.campaign_seed, templates)
     tree = stt.build_stt(seeds, probe, regions, templates)
     stt.write_dot(tree, args.out)
     print(f"wrote {args.out}: {len(tree.nodes)} states, {len(tree.edges)} transitions")
@@ -168,36 +167,13 @@ def cmd_plot(args) -> int:
     rows = [json.loads(line) for line in lines if line.strip()]
     out = Path(args.out)
     with open(out, "w") as fp:
-        fp.write("execs,branches,states,crashes,elapsed_ms\n")
+        fp.write("execs,branches,states,crashes,syscalls\n")
         for r in rows:
             fp.write(
                 f"{r['execs']},{r['branches']},{r['states']},"
-                f"{r['crashes']},{r['elapsed_ms']}\n"
+                f"{r['crashes']},{r['syscalls']}\n"
             )
     print(f"wrote {out} ({len(rows)} rows)")
-    return EXIT_OK
-
-
-def cmd_bench(args) -> int:
-    templates = load_templates(bundled_template_path())
-    probe = SimProbe(args.campaign_seed)
-    rng = Random(args.campaign_seed)
-    cases = [generate_testcase(templates, rng, 24) for _ in range(256)]
-    from .payload import serialize_payload
-
-    payloads = [serialize_payload(tc) for tc in cases]
-    calls = 0
-    t0 = time.perf_counter()
-    for i in range(args.execs):
-        result = probe.submit(payloads[i % len(payloads)])
-        calls += result.executed_count
-        for sr in result.per_syscall:
-            coverage_of(sr.trace)
-    dt = time.perf_counter() - t0
-    print(
-        f"{args.execs} executions, {calls} syscalls in {dt:.2f}s: "
-        f"{args.execs / dt:,.0f} exec/s, {calls / dt:,.0f} calls/s"
-    )
     return EXIT_OK
 
 
@@ -236,11 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("stats")
     pl.add_argument("-o", "--out", default="stats.csv")
     pl.set_defaults(fn=cmd_plot)
-
-    b = sub.add_parser("bench", help="measure simulator throughput")
-    b.add_argument("--execs", type=int, default=2000)
-    b.add_argument("--campaign-seed", type=int, default=1)
-    b.set_defaults(fn=cmd_bench)
     return p
 
 

@@ -15,7 +15,6 @@ class ConfigError(Exception):
 @dataclass
 class CampaignConfig:
     budget: int = 50_000
-    workers: int = 1
     p_gen: float = 0.1
     max_len: int = 64
     mode: str = "composite"
@@ -44,8 +43,6 @@ class CampaignConfig:
             raise ConfigError("budget must be >= 0")
         if self.max_len < 1:
             raise ConfigError("max_len must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.infer_budget < 1:
             raise ConfigError("infer_budget must be >= 1")
         if self.infer_trials < 1:

@@ -69,7 +69,8 @@ class CampaignReport:
     mutated: int = 0
     seed_replays: int = 0
     crash_replays: int = 0
-    elapsed_virtual_ms: int = 0
+    # calls executed by the fed-back submissions (crash replays excluded)
+    syscalls: int = 0
 
 
 def dedup(fault: FaultRecord, known: set[CrashId]) -> tuple[CrashId, bool]:
@@ -201,50 +202,6 @@ class SeedSelector:
         return bucket[-1]
 
 
-def select_seed(
-    seedmap: dict[int, list[SeedNode]],
-    hitmap: dict[int, int],
-    rng: Random,
-) -> SeedNode:
-    """Rare states first, then coverage-heavy seeds inside the bucket.
-
-    State weight is the reciprocal of its hit count, normalised over all
-    states; the in-bucket weight of a seed is its branch-coverage size as
-    a share of the bucket total, falling back to uniform when every node
-    in the bucket has empty coverage.
-    """
-    if not seedmap:
-        raise LookupError("empty seed corpus")
-    total = 0.0
-    weights = []
-    for sh in seedmap:
-        w = 1.0 / hitmap[sh]
-        weights.append(w)
-        total += w
-    r = rng.random() * total
-    acc = 0.0
-    bucket = None
-    for sh, w in zip(seedmap, weights):
-        acc += w
-        if r < acc:
-            bucket = seedmap[sh]
-            break
-    if bucket is None:  # float edge: fall back to the last state
-        bucket = seedmap[next(reversed(seedmap))]
-    total_cov = 0
-    for node in bucket:
-        total_cov += node.cov_size
-    if total_cov == 0:
-        return bucket[rng.randrange(len(bucket))]
-    r = rng.random() * total_cov
-    acc = 0.0
-    for node in bucket:
-        acc += node.cov_size
-        if r < acc:
-            return node
-    return bucket[-1]
-
-
 class FuzzCampaign:
     """One campaign: owns the corpus maps and drives a probe endpoint."""
 
@@ -285,7 +242,6 @@ class FuzzCampaign:
         if self.out_dir is not None:
             (self.out_dir / "corpus").mkdir(parents=True, exist_ok=True)
             (self.out_dir / "crashes").mkdir(parents=True, exist_ok=True)
-            self._stats_fp = open(self.out_dir / "stats.jsonl", "w")
 
     # --- persistence ---------------------------------------------------------
 
@@ -323,7 +279,7 @@ class FuzzCampaign:
                         "branches": row[1],
                         "states": row[2],
                         "crashes": row[3],
-                        "elapsed_ms": self.report.elapsed_virtual_ms,
+                        "syscalls": self.report.syscalls,
                     }
                 )
                 + "\n"
@@ -352,7 +308,7 @@ class FuzzCampaign:
             else:
                 sh = SYNTHETIC_STATE
             out.append((cov, sh if self.state_feedback else SYNTHETIC_STATE))
-            self.report.elapsed_virtual_ms += 1
+            self.report.syscalls += 1
         return out
 
     def _execute(self, tc: TestCase) -> None:
@@ -402,29 +358,33 @@ class FuzzCampaign:
     def run(self) -> CampaignReport:
         cfg = self.cfg
         budget = cfg.budget
-        # replaying the seed corpus rebuilds the maps and counts against
-        # the budget like any other execution
-        for tc in self.seeds:
-            if self.report.executions >= budget:
-                break
-            self.report.seed_replays += 1
-            self._execute(tc)
-        while self.report.executions < budget:
-            if not self.seedmap or self.rng.random() < cfg.p_gen:
-                tc = generate_testcase(self.templates, self.rng, cfg.max_len)
-                self.report.generated += 1
-            else:
-                node = self.selector.pick(self.seedmap, self.rng)
-                tc = mutate_testcase(node.testcase, self.templates, self.rng, cfg.max_len)
-                self.report.mutated += 1
-            self._execute(tc)
-        if budget > 0 and (not self.report.timeline or self.report.timeline[-1][0] != self.report.executions):
-            self._tick()
+        if self.out_dir is not None:
+            self._stats_fp = open(self.out_dir / "stats.jsonl", "w")
+        try:
+            # replaying the seed corpus rebuilds the maps and counts against
+            # the budget like any other execution
+            for tc in self.seeds:
+                if self.report.executions >= budget:
+                    break
+                self.report.seed_replays += 1
+                self._execute(tc)
+            while self.report.executions < budget:
+                if not self.seedmap or self.rng.random() < cfg.p_gen:
+                    tc = generate_testcase(self.templates, self.rng, cfg.max_len)
+                    self.report.generated += 1
+                else:
+                    node = self.selector.pick(self.seedmap, self.rng)
+                    tc = mutate_testcase(node.testcase, self.templates, self.rng, cfg.max_len)
+                    self.report.mutated += 1
+                self._execute(tc)
+            if budget > 0 and (not self.report.timeline or self.report.timeline[-1][0] != self.report.executions):
+                self._tick()
+        finally:
+            if self._stats_fp is not None:
+                self._stats_fp.close()
+                self._stats_fp = None
         self.report.unique_branches = len(self.all_branches)
         self.report.unique_states = self._state_count()
-        if self._stats_fp is not None:
-            self._stats_fp.close()
-            self._stats_fp = None
         log.info(
             "campaign done: %d execs, %d branches, %d states, %d crashes (%.1fs)",
             self.report.executions,
@@ -434,14 +394,3 @@ class FuzzCampaign:
             time.monotonic() - self._t0,
         )
         return self.report
-
-
-def fuzz_loop(
-    cfg: CampaignConfig,
-    probe,
-    templates: TemplateSet,
-    seeds: list[TestCase],
-    regions: list[StateVarRegion],
-    out_dir: str | Path | None = None,
-) -> CampaignReport:
-    return FuzzCampaign(cfg, probe, templates, seeds, regions, out_dir).run()

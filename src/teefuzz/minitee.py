@@ -94,27 +94,6 @@ FAULT_NULL_DEREF = "null_deref"
 FAULT_UNTRUSTED_DEREF = "untrusted_deref"
 FAULT_RESOURCE_EXHAUSTION = "resource_exhaustion"
 
-OPERATION_RELATED = frozenset(
-    [
-        "TEE_AllocateOperation",
-        "TEE_FreeOperation",
-        "TEE_ResetOperation",
-        "TEE_SetOperationKey",
-        "TEE_CipherInit",
-        "TEE_CipherUpdate",
-        "TEE_CipherDoFinal",
-        "TEE_MACInit",
-        "TEE_MACUpdate",
-        "TEE_MACComputeFinal",
-        "TEE_MACCompareFinal",
-        "TEE_AllocateTransientObject",
-        "TEE_FreeTransientObject",
-        "TEE_ResetTransientObject",
-        "TEE_PopulateTransientObject",
-        "TEE_RestrictObjectUsage",
-    ]
-)
-
 
 class FaultRecord(NamedTuple):
     kind: str
@@ -138,9 +117,6 @@ class ExecutionResult(NamedTuple):
     per_syscall: list[SyscallResult]
     fault: FaultRecord | None
     executed_count: int
-    # authoritative handler walk per executed call, one (addr, nbits, bits)
-    # triple per basic block; the packet pipeline is checked against this
-    walk_per_syscall: list[list[tuple[int, int, int]]]
 
 
 class SeededBug(NamedTuple):
@@ -311,11 +287,9 @@ class MiniTee:
                 per_syscall=[],
                 fault=FaultRecord(FAULT_HARD, DECODE_FRAMES, 0),
                 executed_count=0,
-                walk_per_syscall=[],
             )
         self._exec_key = _mix(self._campaign_key ^ fnv1a64(data))
         per_syscall: list[SyscallResult] = []
-        walks: list[list[tuple[int, int, int]]] = []
         results: list[int] = []
         fault: FaultRecord | None = None
         for idx, call in enumerate(tc.calls):
@@ -336,12 +310,10 @@ class MiniTee:
             per_syscall.append(
                 SyscallResult(self._emit_packets(w.blocks, idx), snaps, ret)
             )
-            walks.append(w.blocks)
         return ExecutionResult(
             per_syscall=per_syscall,
             fault=fault,
             executed_count=len(per_syscall),
-            walk_per_syscall=walks,
         )
 
     # --- internals --------------------------------------------------------------

@@ -11,13 +11,8 @@ from __future__ import annotations
 from typing import Callable, Protocol
 
 from .minitee import ExecutionResult, MiniTee, SyscallResult
-from .statevars import StateVarRegion
 
 CAPABILITIES = ("write_payload", "reset", "stream_trace", "read_memory")
-
-# sentinel byte contributed by a region whose handle kind has no live
-# handle (freed or never allocated)
-ABSENT_MARKER = b"\xa5"
 
 
 class ProbeClosed(Exception):
@@ -33,8 +28,6 @@ class ProbeEndpoint(Protocol):
         payload: bytes,
         on_syscall: Callable[[int, SyscallResult], None] | None = None,
     ) -> ExecutionResult: ...
-
-    def read_state_regions(self, regions: list[StateVarRegion]) -> list[bytes]: ...
 
     def read_memory(self, handle_id: int, offset: int, length: int) -> bytes: ...
 
@@ -71,26 +64,6 @@ class SimProbe:
             for idx, sr in enumerate(result.per_syscall):
                 on_syscall(idx, sr)
         return result
-
-    def read_state_regions(self, regions: list[StateVarRegion]) -> list[bytes]:
-        """Current value bytes per region, in the order given.
-
-        Each region applies to every live handle of its kind, in
-        allocation order; a kind with no live handle reports the absent
-        marker instead of bytes.
-        """
-        if not self._open:
-            raise ProbeClosed("endpoint closed")
-        live = self.sim.live_handles()
-        out = []
-        for region in regions:
-            parts = [
-                h.buf[region.offset : region.offset + region.length]
-                for h in live
-                if h.kind == region.handle_kind
-            ]
-            out.append(b"".join(bytes(p) for p in parts) if parts else ABSENT_MARKER)
-        return out
 
     def read_memory(self, handle_id: int, offset: int, length: int) -> bytes:
         if not self._open:

@@ -343,12 +343,6 @@ def state_hash_from_snapshots(regions: list[StateVarRegion], snapshots) -> int:
     return h
 
 
-def state_hash(regions: list[StateVarRegion], probe) -> int:
-    """Hash of the current region values read through the probe."""
-    ordered = sort_regions(regions)
-    return fnv1a64(b"".join(probe.read_state_regions(ordered)))
-
-
 def empty_state_hash(regions: list[StateVarRegion]) -> int:
     """State hash when no handles are live (the transition-tree root)."""
     return fnv1a64(ABSENT_MARKER * len(regions))
@@ -362,14 +356,34 @@ def save_regions(regions: list[StateVarRegion], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_HANDLE_SIZES = {"operation": minitee.OP_HANDLE_SIZE, "object": minitee.OBJ_HANDLE_SIZE}
+
+
 def load_regions(path: str | Path) -> list[StateVarRegion]:
+    """Read a regions file, rejecting any region outside its handle buffer."""
     regions = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         parts = line.split()
         if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'kind offset length'")
-        regions.append(StateVarRegion(parts[0], int(parts[1]), int(parts[2])))
+            raise ValueError(f"{where}: expected 'kind offset length'")
+        kind = parts[0]
+        size = _HANDLE_SIZES.get(kind)
+        if size is None:
+            raise ValueError(f"{where}: unknown handle kind '{kind}'")
+        try:
+            offset, length = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ValueError(f"{where}: offset and length must be integers") from None
+        if length < 1:
+            raise ValueError(f"{where}: length must be >= 1, got {length}")
+        if offset < 0 or offset + length > size:
+            raise ValueError(
+                f"{where}: bytes [{offset}, {offset + length}) lie outside the "
+                f"{size}-byte {kind} handle"
+            )
+        regions.append(StateVarRegion(kind, offset, length))
     return sort_regions(regions)

@@ -29,9 +29,6 @@ class TransitionTree:
     edges: list[tuple[int, int, str]] = field(default_factory=list)
     _edge_set: set[tuple[int, int, str]] = field(default_factory=set)
 
-    def number_of(self, state: int) -> int:
-        return self.nodes.index(state)
-
     def add_edge(self, src: int, dst: int, label: str) -> None:
         for s in (src, dst):
             if s not in self._seen:

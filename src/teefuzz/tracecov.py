@@ -40,14 +40,6 @@ class TracePacket(NamedTuple):
             raise ValueError("condition bits exceed bit_count")
 
 
-class LcsajBlock(NamedTuple):
-    """Coverage unit: a base address bound to its condition sequence."""
-
-    base_address: int
-    bit_count: int
-    bits: int
-
-
 def fnv1a64(data: bytes, h: int = FNV64_OFFSET) -> int:
     """64-bit FNV-1a over `data`, optionally chained from a prior hash."""
     for b in data:
@@ -55,42 +47,17 @@ def fnv1a64(data: bytes, h: int = FNV64_OFFSET) -> int:
     return h
 
 
-def filter_packets(
-    packets: Iterable[TracePacket], secure_range: tuple[int, int] = SECURE_RANGE
-) -> list[TracePacket]:
-    """Keep exactly the packets whose base address lies in the secure window."""
-    lo, hi = secure_range
-    if lo > hi:
-        raise ValueError("secure_range lower bound exceeds upper bound")
-    return [p for p in packets if lo <= p.base_address <= hi]
-
-
-def build_blocks(packets: Iterable[TracePacket]) -> list[LcsajBlock]:
-    """One block per packet, stream order preserved.
-
-    Each packet already binds a base address to the condition run that
-    follows it, so blocks are a 1:1 re-labelling of the filtered stream.
-    """
-    return [LcsajBlock(p.base_address, p.bit_count, p.bits) for p in packets]
-
-
-def hash_block(block: LcsajBlock) -> int:
-    """Branch ID: FNV-1a64 over (address LE ‖ bit_count byte ‖ packed bits)."""
-    return fnv1a64(
-        struct.pack("<IBB", block.base_address, block.bit_count, block.bits)
-    )
-
-
-# hash_block is referentially transparent; cache it across the campaign so
-# the fuzzing loop pays one struct.pack per *distinct* block only.
+# A branch ID depends only on its packet, so IDs are cached across the
+# campaign and the fuzzing loop pays one struct.pack per *distinct* block.
 _hash_cache: dict[tuple[int, int, int], int] = {}
 
 
-def coverage_of(
-    trace: Iterable[TracePacket], secure_range: tuple[int, int] = SECURE_RANGE
-) -> set[int]:
-    """Branch-ID set of one per-syscall trace segment."""
-    lo, hi = secure_range
+def coverage_of(trace: Iterable[TracePacket]) -> set[int]:
+    """Branch-ID set of one per-syscall trace segment.
+
+    A block's ID is FNV-1a64 over (address LE ‖ bit_count byte ‖ packed bits).
+    """
+    lo, hi = SECURE_RANGE
     cache = _hash_cache
     out = set()
     for p in trace:
@@ -105,10 +72,10 @@ def coverage_of(
     return out
 
 
-# --- trace dump format (for the `replay` subcommand) ------------------------
+# --- trace dump format ----------------------------------------------------------
 #
 # Binary stream of fixed 6-byte records: base_address u32 LE, bit_count u8,
-# packed bits u8.
+# packed bits u8, the same layout that is hashed into a branch ID.
 
 _REC = struct.Struct("<IBB")
 

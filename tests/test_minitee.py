@@ -360,12 +360,14 @@ def test_trace_bracket_secure_and_noise(templates, rng):
 
 def test_walks_stay_within_40_blocks_and_emit_at_least_entry_exit(templates, rng):
     sim = MiniTee(13, templates)
+    lo, hi = SECURE_RANGE
     per_handler_blocks = {}
     for _ in range(300):
         tc = generate_testcase(templates, rng, 8)
         sim.reset()
         result = sim.execute_payload(serialize_payload(tc))
-        for i, walk in enumerate(result.walk_per_syscall):
+        for sr in result.per_syscall:
+            walk = [p for p in sr.trace if lo <= p.base_address <= hi]
             base = walk[0][0] & ~0xFFF
             ids = {addr for addr, _, _ in walk}
             per_handler_blocks.setdefault(base, set()).update(ids)

@@ -2,8 +2,8 @@ import pytest
 
 from teefuzz.corpus_io import parse_program
 from teefuzz.payload import serialize_payload
-from teefuzz.probe import ABSENT_MARKER, ProbeClosed, SimProbe
-from teefuzz.statevars import StateVarRegion
+from teefuzz.probe import ProbeClosed, SimProbe
+from teefuzz.statevars import ABSENT_MARKER, StateVarRegion, state_key_from_snapshots
 from teefuzz.testcase import generate_testcase
 
 
@@ -66,47 +66,30 @@ def test_streaming_callback_order_and_timing(probe, templates):
     assert all(c >= 1 for c in covs)
 
 
+KEY_SET = """r0 = TEE_AllocateOperation(0x10, 0, 1024)
+r1 = TEE_AllocateTransientObject(0xA0, 1024)
+r2 = TEE_InitRefAttribute(0xC0, "000102030405060708090a0b0c0d0e0f")
+TEE_PopulateTransientObject(r1, r2, 1)
+TEE_SetOperationKey(r0, r1)"""
+HANDLE_STATE = [StateVarRegion("operation", 12, 4)]
+
+
+def final_state_key(probe, templates, text, regions):
+    result = probe.submit(payload_for(templates, text))
+    return state_key_from_snapshots(regions, result.per_syscall[-1].snapshots)
+
+
 def test_read_state_regions_after_key_set(probe, templates):
-    probe.submit(
-        payload_for(
-            templates,
-            """r0 = TEE_AllocateOperation(0x10, 0, 1024)
-r1 = TEE_AllocateTransientObject(0xA0, 1024)
-r2 = TEE_InitRefAttribute(0xC0, "000102030405060708090a0b0c0d0e0f")
-TEE_PopulateTransientObject(r1, r2, 1)
-TEE_SetOperationKey(r0, r1)""",
-        )
-    )
-    # NB: submit resets first, so re-run without the reset to inspect state
-    probe.sim.reset()
-    probe.sim.execute_payload(
-        payload_for(
-            templates,
-            """r0 = TEE_AllocateOperation(0x10, 0, 1024)
-r1 = TEE_AllocateTransientObject(0xA0, 1024)
-r2 = TEE_InitRefAttribute(0xC0, "000102030405060708090a0b0c0d0e0f")
-TEE_PopulateTransientObject(r1, r2, 1)
-TEE_SetOperationKey(r0, r1)""",
-        )
-    )
-    values = probe.read_state_regions([StateVarRegion("operation", 12, 4)])
-    assert values == [b"\x01\x00\x00\x00"]
+    assert final_state_key(probe, templates, KEY_SET, HANDLE_STATE) == b"\x01\x00\x00\x00"
 
 
 def test_read_state_regions_absent_after_free(probe, templates):
-    probe.sim.reset()
-    probe.sim.execute_payload(
-        payload_for(
-            templates,
-            "r0 = TEE_AllocateOperation(0x10, 0, 1024)\nTEE_FreeOperation(r0)\n",
-        )
-    )
-    values = probe.read_state_regions([StateVarRegion("operation", 12, 4)])
-    assert values == [ABSENT_MARKER]
+    text = "r0 = TEE_AllocateOperation(0x10, 0, 1024)\nTEE_FreeOperation(r0)\n"
+    assert final_state_key(probe, templates, text, HANDLE_STATE) == ABSENT_MARKER
 
 
-def test_read_state_regions_empty_list(probe):
-    assert probe.read_state_regions([]) == []
+def test_read_state_regions_empty_list(probe, templates):
+    assert final_state_key(probe, templates, KEY_SET, []) == b""
 
 
 def test_closed_endpoint_raises(templates):
@@ -114,5 +97,3 @@ def test_closed_endpoint_raises(templates):
     probe.close()
     with pytest.raises(ProbeClosed):
         probe.submit(b"xx")
-    with pytest.raises(ProbeClosed):
-        probe.read_state_regions([])

@@ -1,5 +1,6 @@
 import struct
 from random import Random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -8,17 +9,42 @@ from hypothesis import strategies as st
 from teefuzz.tracecov import (
     FNV64_OFFSET,
     FNV64_PRIME,
-    LcsajBlock,
     SECURE_RANGE,
     TracePacket,
-    build_blocks,
     coverage_of,
     dump_trace,
-    filter_packets,
     fnv1a64,
-    hash_block,
     load_trace,
 )
+
+
+# --- reference pipeline: the three stages that coverage_of fuses ------------
+
+
+class LcsajBlock(NamedTuple):
+    """Coverage unit: a base address bound to its condition sequence."""
+
+    base_address: int
+    bit_count: int
+    bits: int
+
+
+def filter_packets(packets):
+    """Keep exactly the packets whose base address lies in the secure window."""
+    lo, hi = SECURE_RANGE
+    return [p for p in packets if lo <= p.base_address <= hi]
+
+
+def build_blocks(packets):
+    """One block per packet, stream order preserved."""
+    return [LcsajBlock(p.base_address, p.bit_count, p.bits) for p in packets]
+
+
+def hash_block(block):
+    """Branch ID: FNV-1a64 over (address LE ‖ bit_count byte ‖ packed bits)."""
+    return fnv1a64(
+        struct.pack("<IBB", block.base_address, block.bit_count, block.bits)
+    )
 
 
 def reference_fnv1a64(data: bytes) -> int:
@@ -88,12 +114,12 @@ def test_collision_sweep_100k_random_pairs():
 
 def test_filter_drops_normal_world_packet():
     pkts = [TracePacket(0x2000_1000, 1, 1)]
-    assert filter_packets(pkts, (0x1000_0000, 0x1FFF_FFFF)) == []
+    assert coverage_of(pkts) == set()
 
 
 def test_filter_identity_on_all_secure_stream():
     pkts = [TracePacket(0x1000_0000 + i, 1, i & 1) for i in range(20)]
-    assert filter_packets(pkts) == pkts
+    assert coverage_of(pkts) == {hash_block(b) for b in build_blocks(pkts)}
 
 
 def test_filter_mixed_stream_brute_force():
@@ -108,31 +134,7 @@ def test_filter_mixed_stream_brute_force():
         pkts.append(TracePacket(addr, nbits, rng.getrandbits(nbits)))
     lo, hi = SECURE_RANGE
     expected = [p for p in pkts if lo <= p.base_address <= hi]
-    got = filter_packets(pkts)
-    assert got == expected
-    assert len(got) == sum(1 for p in pkts if lo <= p.base_address <= hi)
-
-
-def test_filter_rejects_inverted_range():
-    with pytest.raises(ValueError):
-        filter_packets([], (10, 5))
-
-
-def test_build_blocks_empty():
-    assert build_blocks([]) == []
-
-
-def test_build_blocks_single_packet():
-    blocks = build_blocks([TracePacket(0x1000_0004, 3, 0b101)])
-    assert blocks == [LcsajBlock(0x1000_0004, 3, 0b101)]
-
-
-@given(packets_st)
-def test_build_blocks_is_one_to_one_and_ordered(pkts):
-    blocks = build_blocks(pkts)
-    assert len(blocks) == len(pkts)
-    for p, b in zip(pkts, blocks):
-        assert (b.base_address, b.bit_count, b.bits) == (p.base_address, p.bit_count, p.bits)
+    assert coverage_of(pkts) == {hash_block(b) for b in build_blocks(expected)}
 
 
 def test_coverage_empty_trace():
