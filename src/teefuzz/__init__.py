@@ -9,6 +9,7 @@ from .minitee import ExecutionResult, FaultRecord, MiniTee, seeded_bug_catalog
 from .payload import deserialize_payload, serialize_payload
 from .probe import SimProbe
 from .statevars import (
+    CompiledRegions,
     StateVarRegion,
     collect_snapshots,
     filter_volatile,

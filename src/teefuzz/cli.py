@@ -20,7 +20,7 @@ from .corpus_io import load_seed_corpus
 from .minitee import GROUND_TRUTH_REGIONS
 from .payload import PayloadError, deserialize_payload
 from .probe import SimProbe
-from .templates import TemplateSet, bundled_template_path, load_templates
+from .templates import TemplateError, TemplateSet, bundled_template_path, load_templates
 from .testcase import TestCase
 from .tracecov import coverage_of
 
@@ -29,6 +29,10 @@ log = logging.getLogger("teefuzz")
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CONFIG = 2
+
+# what a bad config, template, regions or corpus input raises while loading
+INPUT_ERRORS = (ConfigError, OSError, ValueError)
+STATS_COLUMNS = ("execs", "branches", "states", "crashes", "syscalls")
 
 
 def _setup_logging() -> None:
@@ -39,9 +43,16 @@ def _setup_logging() -> None:
     )
 
 
+def _load_templates(path: str | None) -> TemplateSet:
+    path = path or bundled_template_path()
+    try:
+        return load_templates(path)
+    except TemplateError as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
 def _load_inputs(cfg: CampaignConfig) -> tuple[TemplateSet, list[TestCase]]:
-    tmpl_path = cfg.templates_file or bundled_template_path()
-    templates = load_templates(tmpl_path)
+    templates = _load_templates(cfg.templates_file)
     corpus_dir = cfg.corpus_dir or Path(bundled_template_path()).parent / "seeds"
     seeds = load_seed_corpus(corpus_dir, templates, cfg.max_len)
     return templates, seeds
@@ -59,12 +70,12 @@ def cmd_fuzz(args) -> int:
                     "inferred-regions file (run infer-state first)"
                 )
             regions = statevars.load_regions(cfg.regions_file)
-    except (ConfigError, OSError, ValueError) as e:
+        probe = SimProbe(cfg.campaign_seed, templates)
+    except INPUT_ERRORS as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    probe = SimProbe(cfg.campaign_seed, templates)
     report = fuzzing.FuzzCampaign(cfg, probe, templates, seeds, regions, out_dir).run()
     print(
         f"executions={report.executions} branches={report.unique_branches} "
@@ -83,10 +94,10 @@ def cmd_infer_state(args) -> int:
         templates, seeds = _load_inputs(cfg)
         if not seeds:
             raise ConfigError("infer-state needs a non-empty seed corpus")
-    except (ConfigError, FileNotFoundError, OSError) as e:
+        probe = SimProbe(cfg.campaign_seed, templates)
+    except INPUT_ERRORS as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    probe = SimProbe(cfg.campaign_seed, templates)
     rng = Random(cfg.campaign_seed)
     logbook = statevars.collect_snapshots(
         seeds, cfg.infer_budget, probe, templates, rng, cfg.max_len
@@ -114,23 +125,26 @@ def cmd_replay(args) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    templates = load_templates(args.templates or bundled_template_path())
-    regions = statevars.load_regions(args.regions) if args.regions else []
+    try:
+        templates = _load_templates(args.templates)
+        regions = statevars.load_regions(args.regions) if args.regions else []
+        probe = SimProbe(args.campaign_seed, templates)
+    except INPUT_ERRORS as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         tc = deserialize_payload(payload, templates)
     except PayloadError as e:
         print(f"decode error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    probe = SimProbe(args.campaign_seed, templates)
+    compiled = statevars.CompiledRegions(regions) if regions else None
     result = probe.submit(payload)
     for i, sr in enumerate(result.per_syscall):
         name = templates.by_ordinal[tc.calls[i].ordinal].name
         cov = coverage_of(sr.trace)
         line = f"[{i:3d}] {name:32s} ret=0x{sr.return_code:08X} branches={len(cov)}"
-        if regions:
-            sh = statevars.state_hash_from_snapshots(
-                statevars.sort_regions(regions), sr.snapshots
-            )
+        if compiled is not None:
+            sh = statevars.state_hash_from_snapshots(compiled, sr.snapshots)
             line += f" state={sh:016x}"
         print(line)
     if result.fault is not None:
@@ -145,13 +159,17 @@ def cmd_replay(args) -> int:
 
 
 def cmd_stt_export(args) -> int:
-    templates = load_templates(args.templates or bundled_template_path())
-    seeds = load_seed_corpus(args.corpus, templates)
+    try:
+        templates = _load_templates(args.templates)
+        seeds = load_seed_corpus(args.corpus, templates)
+        regions = statevars.load_regions(args.regions) if args.regions else []
+        probe = SimProbe(args.campaign_seed, templates)
+    except INPUT_ERRORS as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     if not seeds:
         print("error: corpus is empty", file=sys.stderr)
         return EXIT_ERROR
-    regions = statevars.load_regions(args.regions) if args.regions else []
-    probe = SimProbe(args.campaign_seed, templates)
     tree = stt.build_stt(seeds, probe, regions, templates)
     stt.write_dot(tree, args.out)
     print(f"wrote {args.out}: {len(tree.nodes)} states, {len(tree.edges)} transitions")
@@ -164,15 +182,22 @@ def cmd_plot(args) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    rows = [json.loads(line) for line in lines if line.strip()]
-    out = Path(args.out)
-    with open(out, "w") as fp:
-        fp.write("execs,branches,states,crashes,syscalls\n")
-        for r in rows:
-            fp.write(
-                f"{r['execs']},{r['branches']},{r['states']},"
-                f"{r['crashes']},{r['syscalls']}\n"
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+            rows.append(",".join(str(row[k]) for k in STATS_COLUMNS))
+        except (ValueError, KeyError, TypeError):
+            print(
+                f"error: {args.stats}:{lineno}: malformed stats line, expected a "
+                f"JSON object with keys {', '.join(STATS_COLUMNS)}",
+                file=sys.stderr,
             )
+            return EXIT_ERROR
+    out = Path(args.out)
+    out.write_text("\n".join((",".join(STATS_COLUMNS), *rows)) + "\n")
     print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
 

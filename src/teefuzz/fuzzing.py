@@ -21,7 +21,12 @@ from .config import CampaignConfig
 from .corpus_io import format_program
 from .minitee import FaultRecord
 from .payload import serialize_payload
-from .statevars import StateVarRegion, sort_regions, state_hash_from_snapshots
+from .statevars import (
+    CompiledRegions,
+    StateVarRegion,
+    sort_regions,
+    state_hash_from_snapshots,
+)
 from .templates import TemplateSet
 from .testcase import TestCase, generate_testcase, mutate_testcase
 from .tracecov import coverage_of, fnv1a64
@@ -220,6 +225,8 @@ class FuzzCampaign:
         self.templates = templates
         self.seeds = seeds
         self.regions = sort_regions(regions)
+        # compiled once per campaign; also owns the campaign's state-hash cache
+        self.compiled = CompiledRegions(self.regions) if self.regions else None
         self.state_feedback = cfg.mode in ("composite", "state_only")
         self.branch_feedback = cfg.mode in ("composite", "coverage_only")
         if self.state_feedback and not self.regions:
@@ -296,19 +303,19 @@ class FuzzCampaign:
     def _feedback(self, tc: TestCase, result) -> list[tuple[set[int], int]]:
         """Per executed syscall: (branch-ID set, feedback state hash)."""
         out = []
-        regions = self.regions
+        compiled = self.compiled
         for sr in result.per_syscall:
             cov = coverage_of(sr.trace)
             if not self.branch_feedback:
                 self.all_branches |= cov
                 cov = set()
-            if regions:
-                sh = state_hash_from_snapshots(regions, sr.snapshots)
+            if compiled is not None:
+                sh = state_hash_from_snapshots(compiled, sr.snapshots)
                 self.measured_states.add(sh)
             else:
                 sh = SYNTHETIC_STATE
             out.append((cov, sh if self.state_feedback else SYNTHETIC_STATE))
-            self.report.syscalls += 1
+        self.report.syscalls += len(out)
         return out
 
     def _execute(self, tc: TestCase) -> None:

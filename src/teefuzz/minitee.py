@@ -9,20 +9,35 @@ normal-world noise packets.  Five bugs are seeded, exactly one of which
 feedback has something measurable to win.
 
 Given a fixed campaign seed, execution is a pure function of the payload
-bytes: handle noise fields, trace noise and allocation addresses all
-derive from (campaign seed, payload digest, counters) and nothing else.
+bytes.  The execution key mixes the campaign key with the payload's
+CRC-32; one splitmix64 finalizer per call turns it into that call's noise
+key.  The noise key seeds a Weyl sequence that supplies the trace noise
+packets as the handler walks, and it derives the noise words of every
+live handle by multiplication.  Allocation addresses come from counters.
+Noise never reaches feedback: coverage drops normal-world packets, and
+state inference rejects every noise word as volatile.
 """
 
 from __future__ import annotations
 
+import struct
+import zlib
 from typing import NamedTuple
 
 from .payload import PayloadError, deserialize_payload
 from .templates import TemplateSet, load_bundled_templates
 from .testcase import ArgKind
-from .tracecov import NOISE_RANGE, SECURE_RANGE, TracePacket, fnv1a64
+from .tracecov import NOISE_RANGE, SECURE_RANGE, TracePacket
 
 _M64 = 0xFFFFFFFFFFFFFFFF
+_WEYL = 0x9E3779B97F4A7C15  # odd increment of the per-call noise sequence
+_NOISE_LO = NOISE_RANGE[0]
+_new = tuple.__new__  # builds named tuples without their Python __new__
+# noise layouts: operation keyBuffer 24..39 and iv/scratch 44..63 (selfPointer
+# at 40 changes only per allocation); object 16..47
+_OP_KEY_NOISE = struct.Struct("<QQ")
+_OP_SCRATCH_NOISE = struct.Struct("<QQI")
+_OBJ_NOISE = struct.Struct("<QQQQ")
 
 # --- GP-flavoured constants ---------------------------------------------------
 
@@ -219,16 +234,33 @@ class _Fault(Exception):
 
 
 class _Walk:
-    """Collects the (address, bit_count, bits) blocks of one handler run."""
+    """The trace of one handler run, noise included, built as it walks.
 
-    __slots__ = ("base", "blocks")
+    Every call to b() records one secure block packet; blocks 0, 2, 4, ...
+    are each preceded by one normal-world noise packet, so noise is at
+    least a third of every per-syscall trace by construction.  Noise
+    packets take their address and bits from a Weyl sequence (one add per
+    packet) seeded with the call's noise key.
+    """
 
-    def __init__(self, base: int):
+    __slots__ = ("base", "trace", "noise", "even")
+
+    def __init__(self, base: int, noise_key: int):
         self.base = base
-        self.blocks: list[tuple[int, int, int]] = []
+        self.trace: list[TracePacket] = []
+        self.noise = noise_key
+        self.even = True
 
     def b(self, block_id: int, nbits: int, bits: int) -> None:
-        self.blocks.append((self.base + block_id * 8, nbits, bits))
+        trace = self.trace
+        if self.even:
+            k = self.noise = (self.noise + _WEYL) & _M64
+            nb = 1 + ((k >> 28) & 0x7)
+            trace.append(
+                _new(TracePacket, (_NOISE_LO + (k & 0x0FFF_FFFF), nb, (k >> 31) & ((1 << nb) - 1)))
+            )
+        self.even = not self.even
+        trace.append(_new(TracePacket, (self.base + block_id * 8, nbits, bits)))
 
 
 class MiniTee:
@@ -288,27 +320,22 @@ class MiniTee:
                 fault=FaultRecord(FAULT_HARD, DECODE_FRAMES, 0),
                 executed_count=0,
             )
-        self._exec_key = _mix(self._campaign_key ^ fnv1a64(data))
+        self._exec_key = exec_key = _mix(self._campaign_key ^ zlib.crc32(data))
         per_syscall: list[SyscallResult] = []
         results: list[int] = []
         fault: FaultRecord | None = None
         for idx, call in enumerate(tc.calls):
             handler = self._dispatch[call.ordinal]
-            w = _Walk(self._handler_base[call.ordinal])
+            noise_key = _mix(exec_key ^ (idx * 0xD1B54A32D192ED03))
+            w = _Walk(self._handler_base[call.ordinal], noise_key)
             try:
                 ret, value = handler(self, w, call, results)
             except _Fault as f:
                 fault = FaultRecord(f.kind, f.frames, idx)
                 break
             results.append(value)
-            self._refresh_noise(idx)
-            snaps = [
-                HandleSnapshot(h.hid, h.kind, bytes(h.buf))
-                for h in self.handles.values()
-                if h.live
-            ]
             per_syscall.append(
-                SyscallResult(self._emit_packets(w.blocks, idx), snaps, ret)
+                _new(SyscallResult, (w.trace, self._refresh_noise(noise_key), ret))
             )
         return ExecutionResult(
             per_syscall=per_syscall,
@@ -318,56 +345,31 @@ class MiniTee:
 
     # --- internals --------------------------------------------------------------
 
-    def _emit_packets(
-        self, blocks: list[tuple[int, int, int]], call_idx: int
-    ) -> list[TracePacket]:
-        """Secure packets for the walk, with >=1/3 normal-world noise mixed in.
+    def _refresh_noise(self, noise_key: int) -> list[HandleSnapshot]:
+        """Rewrite the non-state regions of every live handle; snapshot them.
 
-        One noise packet precedes every other secure packet, so noise is at
-        least a third of every per-syscall stream by construction.
-        """
-        noise_lo = NOISE_RANGE[0]
-        key = _mix(self._exec_key ^ (call_idx * 0x9E3779B97F4A7C15))
-        out: list[TracePacket] = []
-        for i, blk in enumerate(blocks):
-            if i % 2 == 0:
-                key = _mix(key)
-                nbits = 1 + ((key >> 28) & 0x7)
-                out.append(
-                    TracePacket(
-                        noise_lo + (key & 0x0FFF_FFFF),
-                        nbits,
-                        (key >> 31) & ((1 << nbits) - 1),
-                    )
-                )
-            out.append(TracePacket(blk[0], blk[1], blk[2]))
-        return out
-
-    def _refresh_noise(self, call_idx: int) -> None:
-        """Rewrite the non-state regions of every live handle.
-
-        Values are a keyed hash of (campaign, payload, call index, handle),
-        which keeps execution deterministic while guaranteeing that every
+        A handle's noise word is the call's noise key xor its id, times an
+        odd constant; the operation scratch word is that word times a
+        second odd constant.  Both maps are bijections of the noise key,
+        which itself differs per (campaign, payload, call index), so every
         noise word accumulates far more than 80 distinct values over any
-        real pre-fuzzing run.
+        real pre-fuzzing run while execution stays deterministic.  Returns
+        the live-handle snapshots in allocation order.
         """
-        base = self._exec_key ^ (call_idx * 0xD1B54A32D192ED03)
+        snaps = []
         for h in self.handles.values():
             if not h.live:
                 continue
-            k = _mix(base ^ (h.hid * 0xFF51AFD7ED558CCD))
+            k = ((noise_key ^ h.hid) * 0xFF51AFD7ED558CCD) & _M64
             buf = h.buf
             if h.kind == "operation":
-                # keyBuffer 24..39 and iv/scratch 44..63; selfPointer at 40
-                # changes only per allocation
-                kb = k.to_bytes(8, "little")
-                buf[24:40] = kb + kb
-                kb2 = _mix(k).to_bytes(8, "little")
-                buf[44:60] = kb2 + kb2
-                buf[60:64] = kb2[:4]
+                _OP_KEY_NOISE.pack_into(buf, 24, k, k)
+                k2 = (k * 0xC4CEB9FE1A85EC53) & _M64
+                _OP_SCRATCH_NOISE.pack_into(buf, 44, k2, k2, k2 & 0xFFFFFFFF)
             else:
-                kb = k.to_bytes(8, "little")
-                buf[16:48] = kb * 4
+                _OBJ_NOISE.pack_into(buf, 16, k, k, k, k)
+            snaps.append(_new(HandleSnapshot, (h.hid, h.kind, bytes(buf))))
+        return snaps
 
     def _alloc_handle(self, kind: str, size: int) -> _Handle:
         self._next_handle += 1

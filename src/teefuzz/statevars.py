@@ -309,37 +309,68 @@ def sort_regions(regions: list[StateVarRegion]) -> list[StateVarRegion]:
     return sorted(regions, key=lambda r: (r.handle_kind, r.offset))
 
 
-_hash_cache: dict[bytes, int] = {}
+class CompiledRegions:
+    """Sorted state regions compiled once per campaign for per-call keys.
 
-
-def state_key_from_snapshots(regions: list[StateVarRegion], snapshots) -> bytes:
-    """Concatenated region values over live handles, in (kind, offset) order.
-
-    `regions` must already be sorted (see sort_regions); `snapshots` is the
-    per-call live-handle snapshot list in allocation order.  A region whose
-    kind has no live handle contributes the absent marker.
+    The state key concatenates, in (kind, offset) order, each region's bytes
+    in every live handle of its kind, or the absent marker when the kind
+    has no live handle.  Per kind this keeps the per-region (off, end)
+    list, the runs of adjacent regions merged, and the absent bytes.  A
+    kind with one live handle costs one slice per run; several handles of
+    a kind fall back to region-major order.  `hashes` caches key -> hash
+    for this campaign only.
     """
-    parts = []
-    by_kind: dict[str, list[bytes]] = {}
-    for snap in snapshots:
-        by_kind.setdefault(snap.kind, []).append(snap.data)
-    for region in regions:
-        datas = by_kind.get(region.handle_kind)
-        if not datas:
-            parts.append(ABSENT_MARKER)
-            continue
-        off, end = region.offset, region.offset + region.length
-        for data in datas:
-            parts.append(data[off:end])
-    return b"".join(parts)
+
+    def __init__(self, regions: list[StateVarRegion]):
+        self.hashes: dict[bytes, int] = {}
+        kinds: dict[str, list[tuple[int, int]]] = {}
+        for r in sort_regions(regions):
+            kinds.setdefault(r.handle_kind, []).append((r.offset, r.offset + r.length))
+        self.kinds = []
+        for kind, spans in kinds.items():
+            runs = [spans[0]]
+            for off, end in spans[1:]:
+                if off == runs[-1][1]:
+                    runs[-1] = (runs[-1][0], end)
+                else:
+                    runs.append((off, end))
+            self.kinds.append((kind, spans, runs, ABSENT_MARKER * len(spans)))
+
+    def key(self, snapshots) -> bytes:
+        """State key of one call's live-handle snapshots (allocation order)."""
+        parts = []
+        for kind, _, runs, absent in self.kinds:
+            data = None
+            for snap in snapshots:
+                if snap[1] == kind:
+                    if data is not None:
+                        return self._region_major_key(snapshots)
+                    data = snap[2]
+            if data is None:
+                parts.append(absent)
+            else:
+                for off, end in runs:
+                    parts.append(data[off:end])
+        return b"".join(parts)
+
+    def _region_major_key(self, snapshots) -> bytes:
+        """The key when a kind has several live handles: per region, its
+        bytes in each handle of the kind."""
+        parts = []
+        for kind, spans, _, absent in self.kinds:
+            datas = [snap[2] for snap in snapshots if snap[1] == kind]
+            if not datas:
+                parts.append(absent)
+            else:
+                parts += [data[off:end] for off, end in spans for data in datas]
+        return b"".join(parts)
 
 
-def state_hash_from_snapshots(regions: list[StateVarRegion], snapshots) -> int:
-    key = state_key_from_snapshots(regions, snapshots)
-    h = _hash_cache.get(key)
+def state_hash_from_snapshots(compiled: CompiledRegions, snapshots) -> int:
+    key = compiled.key(snapshots)
+    h = compiled.hashes.get(key)
     if h is None:
-        h = fnv1a64(key)
-        _hash_cache[key] = h
+        h = compiled.hashes[key] = fnv1a64(key)
     return h
 
 

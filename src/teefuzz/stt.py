@@ -13,9 +13,9 @@ from pathlib import Path
 
 from .payload import serialize_payload
 from .statevars import (
+    CompiledRegions,
     StateVarRegion,
     empty_state_hash,
-    sort_regions,
     state_hash_from_snapshots,
 )
 from .templates import TemplateSet
@@ -50,13 +50,13 @@ def build_stt(
     regions: list[StateVarRegion],
     templates: TemplateSet,
 ) -> TransitionTree:
-    regions = sort_regions(regions)
+    compiled = CompiledRegions(regions)
     tree = TransitionTree(root=empty_state_hash(regions))
     for tc in seeds:
         result = probe.submit(serialize_payload(tc))
         prev = tree.root
         for i, sr in enumerate(result.per_syscall):
-            sh = state_hash_from_snapshots(regions, sr.snapshots)
+            sh = state_hash_from_snapshots(compiled, sr.snapshots)
             if sh != prev:
                 name = templates.by_ordinal[tc.calls[i].ordinal].name
                 tree.add_edge(prev, sh, name)

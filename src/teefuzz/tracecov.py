@@ -47,9 +47,20 @@ def fnv1a64(data: bytes, h: int = FNV64_OFFSET) -> int:
     return h
 
 
-# A branch ID depends only on its packet, so IDs are cached across the
-# campaign and the fuzzing loop pays one struct.pack per *distinct* block.
-_hash_cache: dict[tuple[int, int, int], int] = {}
+class _BranchIds(dict):
+    """Packet -> branch ID, filled on first sight of a distinct block.
+
+    A branch ID depends only on its packet, so the table is shared by every
+    campaign in the process; the target's blocks bound its size.  Keys are
+    the packets themselves, which hash and compare as plain tuples.
+    """
+
+    def __missing__(self, packet):
+        h = self[packet] = fnv1a64(_REC.pack(*packet))
+        return h
+
+
+_branch_ids = _BranchIds()
 
 
 def coverage_of(trace: Iterable[TracePacket]) -> set[int]:
@@ -58,18 +69,8 @@ def coverage_of(trace: Iterable[TracePacket]) -> set[int]:
     A block's ID is FNV-1a64 over (address LE ‖ bit_count byte ‖ packed bits).
     """
     lo, hi = SECURE_RANGE
-    cache = _hash_cache
-    out = set()
-    for p in trace:
-        if not lo <= p[0] <= hi:
-            continue
-        key = (p[0], p[1], p[2])
-        h = cache.get(key)
-        if h is None:
-            h = fnv1a64(struct.pack("<IBB", *key))
-            cache[key] = h
-        out.add(h)
-    return out
+    ids = _branch_ids
+    return {ids[p] for p in trace if lo <= p[0] <= hi}
 
 
 # --- trace dump format ----------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
 from pathlib import Path
 
-from teefuzz.cli import EXIT_CONFIG, main
+import pytest
+
+from teefuzz.cli import EXIT_CONFIG, EXIT_ERROR, main
 from teefuzz.corpus_io import parse_program
 from teefuzz.payload import serialize_payload
 from teefuzz.templates import bundled_template_path, load_templates
@@ -60,3 +62,48 @@ def test_plot_writes_syscall_column(tmp_path, capsys):
         "execs,branches,states,crashes,syscalls",
         "1000,300,40,2,14000",
     ]
+
+
+def bad_input(tmp_path, which) -> tuple[list[str], str]:
+    """Command-line flags naming one bad input file, and the text its
+    config error must carry."""
+    if which == "regions":
+        path = tmp_path / "regions.txt"
+        path.write_text("operation 12 4\noperation 62 4\n")
+        return ["--regions", str(path)], f"{path}:2:"
+    path = tmp_path / "broken.tmpl"
+    path.write_text("TEE_Malloc(size:scalar32, hint:nosuchkind)\n")
+    return ["--templates", str(path)], f"{path}: line 1:"
+
+
+@pytest.mark.parametrize("which", ["regions", "templates"])
+def test_replay_bad_input_is_a_config_error(tmp_path, capsys, which):
+    payload = tmp_path / "payload.bin"
+    templates = load_templates(bundled_template_path())
+    payload.write_bytes(serialize_payload(parse_program(PROGRAM, templates)))
+    flags, where = bad_input(tmp_path, which)
+    assert main(["replay", str(payload), *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and where in err
+
+
+@pytest.mark.parametrize("which", ["regions", "templates"])
+def test_stt_export_bad_input_is_a_config_error(tmp_path, capsys, which):
+    corpus = Path(bundled_template_path()).parent / "seeds"
+    flags, where = bad_input(tmp_path, which)
+    out = tmp_path / "stt.dot"
+    assert main(["stt-export", str(corpus), *flags, "-o", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and where in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad_line", ['{"execs": 2000', '[1, 2, 3]', '{"execs": 2000}'])
+def test_plot_reports_the_malformed_line(tmp_path, capsys, bad_line):
+    stats = tmp_path / "stats.jsonl"
+    row = {"execs": 1000, "branches": 300, "states": 40, "crashes": 2, "syscalls": 14000}
+    stats.write_text(json.dumps(row) + "\n\n" + bad_line + "\n")
+    out = tmp_path / "stats.csv"
+    assert main(["plot", str(stats), "-o", str(out)]) == EXIT_ERROR
+    assert f"{stats}:3: malformed stats line" in capsys.readouterr().err
+    assert not out.exists()

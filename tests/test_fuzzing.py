@@ -1,3 +1,4 @@
+import hashlib
 import json
 from random import Random
 
@@ -7,7 +8,8 @@ from teefuzz.config import CampaignConfig
 from teefuzz.fuzzing import FuzzCampaign, SeedNode
 from teefuzz.minitee import GROUND_TRUTH_REGIONS
 from teefuzz.probe import SimProbe
-from teefuzz.statevars import StateVarRegion
+from teefuzz.statevars import StateVarRegion, empty_state_hash
+from teefuzz.stt import build_stt
 
 REGIONS = [StateVarRegion(kind, off, 4) for kind, off in GROUND_TRUTH_REGIONS]
 BUDGET = 3_000
@@ -87,6 +89,14 @@ def test_no_triage_accounting(composite):
     assert report.crash_replays >= len(report.unique_crashes) > 0
 
 
+def test_each_campaign_has_its_own_state_hash_cache(composite, templates, seed_corpus):
+    campaign, _ = composite
+    config = CampaignConfig(budget=0, campaign_seed=1)
+    fresh = FuzzCampaign(config, SimProbe(1, templates), templates, seed_corpus, REGIONS)
+    assert len(campaign.compiled.hashes) > 100
+    assert fresh.compiled.hashes == {}
+
+
 def outcome(report):
     return (
         report.timeline,
@@ -137,3 +147,58 @@ def test_stats_file_closed_when_run_raises(templates, seed_corpus, tmp_path):
     rows = [json.loads(line) for line in (tmp_path / "stats.jsonl").read_text().splitlines()]
     assert rows and all(set(r) == {"execs", "branches", "states", "crashes", "syscalls"} for r in rows)
     assert [r["execs"] for r in rows] == list(range(10, 10 * len(rows) + 1, 10))
+
+
+# --- golden reports -----------------------------------------------------------
+#
+# Recorded before the trace and noise path was rewritten to emit noise inside
+# the handler walk.  Noise never reaches feedback, so any change to how the
+# simulator makes or drops noise must leave these exactly as they are.
+
+GOLDEN_CRASH_FRAMES = {
+    "B1": ("pool_reserve", "tee_malloc", "syscall_dispatch"),
+    "B2": ("utee_from_attr", "tee_populate_transient_object", "syscall_dispatch"),
+    "B3": ("mac_ctx_load", "tee_mac_compare_final", "syscall_dispatch"),
+    "B5": ("op_validate_magic", "tee_cipher_init", "syscall_dispatch"),
+}
+GOLDEN = {
+    "composite": (
+        [
+            (250, 345, 101, 4), (500, 370, 118, 4), (750, 384, 149, 4),
+            (1000, 392, 168, 4), (1250, 400, 192, 4), (1500, 402, 210, 4),
+            (1750, 410, 232, 4), (2000, 417, 252, 4),
+        ],
+        [("B5", 12), ("B2", 24), ("B3", 111), ("B1", 166)],
+        (2004, 205, 1783, 12, 4, 23948),
+    ),
+    "coverage_only": (
+        [
+            (250, 342, 82, 4), (500, 369, 102, 4), (750, 378, 128, 4),
+            (1000, 393, 153, 4), (1250, 397, 162, 4), (1500, 399, 169, 4),
+            (1750, 408, 177, 4), (2000, 411, 179, 4),
+        ],
+        [("B5", 12), ("B2", 24), ("B3", 34), ("B1", 124)],
+        (2004, 214, 1774, 12, 4, 27299),
+    ),
+}
+GOLDEN_STT_NODES = 48
+GOLDEN_STT_SHA256 = "f627e4bfe9b17ec9d47bac0688c5e15799fd7c24a76fe79c627eef4e0b8563f7"
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_golden_report(mode, templates, seed_corpus):
+    config = CampaignConfig(budget=2_000, campaign_seed=1, mode=mode, stats_every=250)
+    report = FuzzCampaign(config, SimProbe(1, templates), templates, seed_corpus, REGIONS).run()
+    timeline, crashes, counters = GOLDEN[mode]
+    assert outcome(report) == (
+        timeline,
+        [(GOLDEN_CRASH_FRAMES[bug], at) for bug, at in crashes],
+        counters,
+    )
+
+
+def test_golden_stt_nodes(templates, seed_corpus):
+    tree = build_stt(seed_corpus, SimProbe(1, templates), REGIONS, templates)
+    assert tree.nodes[0] == empty_state_hash(REGIONS)
+    assert len(tree.nodes) == GOLDEN_STT_NODES
+    assert hashlib.sha256(repr(tree.nodes).encode()).hexdigest() == GOLDEN_STT_SHA256

@@ -3,7 +3,7 @@ import pytest
 from teefuzz.corpus_io import parse_program
 from teefuzz.payload import serialize_payload
 from teefuzz.probe import ProbeClosed, SimProbe
-from teefuzz.statevars import ABSENT_MARKER, StateVarRegion, state_key_from_snapshots
+from teefuzz.statevars import ABSENT_MARKER, CompiledRegions, StateVarRegion
 from teefuzz.testcase import generate_testcase
 
 
@@ -76,7 +76,7 @@ HANDLE_STATE = [StateVarRegion("operation", 12, 4)]
 
 def final_state_key(probe, templates, text, regions):
     result = probe.submit(payload_for(templates, text))
-    return state_key_from_snapshots(regions, result.per_syscall[-1].snapshots)
+    return CompiledRegions(regions).key(result.per_syscall[-1].snapshots)
 
 
 def test_read_state_regions_after_key_set(probe, templates):

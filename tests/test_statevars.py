@@ -1,9 +1,33 @@
 import re
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from teefuzz.minitee import OBJ_HANDLE_SIZE, OP_HANDLE_SIZE
-from teefuzz.statevars import StateVarRegion, load_regions, save_regions
+from teefuzz.config import CampaignConfig
+from teefuzz.minitee import (
+    GROUND_TRUTH_REGIONS,
+    OBJ_HANDLE_SIZE,
+    OP_HANDLE_SIZE,
+    HandleSnapshot,
+)
+from teefuzz.probe import SimProbe
+from teefuzz.statevars import (
+    ABSENT_MARKER,
+    VOLATILITY_THRESHOLD,
+    CompiledRegions,
+    StateVarRegion,
+    collect_snapshots,
+    empty_state_hash,
+    filter_volatile,
+    infer_state_vars,
+    load_regions,
+    save_regions,
+    sort_regions,
+    state_hash_from_snapshots,
+)
+from teefuzz.tracecov import fnv1a64
 
 
 def regions_file(tmp_path, bad_line):
@@ -42,3 +66,108 @@ def test_bad_region_is_rejected_with_path_and_line(tmp_path, bad_line, reason):
     path = regions_file(tmp_path, bad_line)
     with pytest.raises(ValueError, match=re.escape(f"{path}:3: ") + ".*" + re.escape(reason)):
         load_regions(path)
+
+
+# --- inference ------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def default_inference(templates, seed_corpus):
+    """The default config's pipeline, as `teefuzz infer-state` runs it."""
+    cfg = CampaignConfig()
+    probe = SimProbe(cfg.campaign_seed, templates)
+    logbook = collect_snapshots(
+        seed_corpus, cfg.infer_budget, probe, templates, Random(cfg.campaign_seed), cfg.max_len
+    )
+    candidates = filter_volatile(logbook, cfg.volatility_threshold, cfg.volatility_metric)
+    regions = infer_state_vars(candidates, templates, probe, cfg.infer_trials)
+    return logbook, regions
+
+
+def test_default_config_recovers_exactly_the_ground_truth(default_inference):
+    _, regions = default_inference
+    assert [(r.handle_kind, r.offset, r.length) for r in regions] == sorted(
+        (kind, off, 4) for kind, off in GROUND_TRUTH_REGIONS
+    )
+
+
+def test_every_other_logged_word_is_volatile(default_inference):
+    logbook, _ = default_inference
+    distinct: dict[tuple[str, int], set[bytes]] = {}
+    for e in logbook.entries:
+        for off in range(0, len(e.data), 4):
+            distinct.setdefault((e.handle_kind, off), set()).add(e.data[off : off + 4])
+    truth = set(GROUND_TRUTH_REGIONS)
+    others = {key: len(words) for key, words in distinct.items() if key not in truth}
+    assert len(others) == (OP_HANDLE_SIZE + OBJ_HANDLE_SIZE) // 4 - len(truth)
+    assert min(others.values()) > VOLATILITY_THRESHOLD, others
+
+
+# --- state keys -------------------------------------------------------------------
+
+
+def state_key_from_snapshots(regions, snapshots) -> bytes:
+    """Reference state key, one region at a time.
+
+    Concatenated region values over live handles, in (kind, offset) order:
+    `regions` must already be sorted; `snapshots` is the per-call
+    live-handle snapshot list in allocation order.  A region whose kind has
+    no live handle contributes the absent marker.
+    """
+    parts = []
+    by_kind: dict[str, list[bytes]] = {}
+    for snap in snapshots:
+        by_kind.setdefault(snap.kind, []).append(snap.data)
+    for region in regions:
+        datas = by_kind.get(region.handle_kind)
+        if not datas:
+            parts.append(ABSENT_MARKER)
+            continue
+        off, end = region.offset, region.offset + region.length
+        for data in datas:
+            parts.append(data[off:end])
+    return b"".join(parts)
+
+
+SIZES = {"operation": OP_HANDLE_SIZE, "object": OBJ_HANDLE_SIZE}
+
+# word-aligned offsets and lengths make adjacent runs common; the raw
+# integers add gaps, overlaps and zero-length regions
+region_st = st.builds(
+    StateVarRegion,
+    st.sampled_from(sorted(SIZES)),
+    st.sampled_from(range(0, OBJ_HANDLE_SIZE, 4)) | st.integers(0, OBJ_HANDLE_SIZE - 1),
+    st.sampled_from([4, 8]) | st.integers(0, 12),
+)
+
+
+@st.composite
+def snapshots_st(draw):
+    snaps = [
+        HandleSnapshot(0, kind, draw(st.binary(min_size=size, max_size=size)))
+        for kind, size in SIZES.items()
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return draw(st.permutations(snaps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(region_st, max_size=8), snapshots_st())
+def test_compiled_key_equals_the_per_region_oracle(regions, snapshots):
+    compiled = CompiledRegions(regions)
+    want = state_key_from_snapshots(sort_regions(regions), snapshots)
+    assert compiled.key(snapshots) == want
+    assert state_hash_from_snapshots(compiled, snapshots) == fnv1a64(want)
+
+
+@given(st.lists(region_st, max_size=8))
+def test_empty_state_hash_is_the_compiled_hash_of_no_snapshots(regions):
+    assert empty_state_hash(regions) == state_hash_from_snapshots(CompiledRegions(regions), [])
+
+
+def test_ground_truth_regions_compile_to_one_run_per_kind():
+    compiled = CompiledRegions([StateVarRegion(k, off, 4) for k, off in GROUND_TRUTH_REGIONS])
+    assert [(kind, runs) for kind, _, runs, _ in compiled.kinds] == [
+        ("object", [(0, 16)]),
+        ("operation", [(0, 24)]),
+    ]
