@@ -14,6 +14,12 @@ Wire format (all multi-byte integers little-endian):
             tag 2 buffer       u16 length + bytes
             tag 3 resource_ref u16 call index
             tag 4 const_enum   4 bytes
+
+The encoder has no lookup table: it picks each arg's tag with an `is`
+chain over the kind (hashing an Enum member runs in Python), packs tag and
+value with one precompiled struct and joins the pieces once.  The decoder
+reads fields with precompiled unpackers and builds args and calls as plain
+tuples of their named-tuple types.
 """
 
 from __future__ import annotations
@@ -43,38 +49,51 @@ class PayloadError(Exception):
         super().__init__(f"{code.value}: {detail}" if detail else code.value)
 
 
-_TAG = {
-    ArgKind.SCALAR32: 0,
-    ArgKind.SCALAR64: 1,
-    ArgKind.BUFFER: 2,
-    ArgKind.RESOURCE_REF: 3,
-    ArgKind.CONST_ENUM: 4,
-}
+# The kind and tag chains below test the kinds in the order of how often
+# they occur in a campaign: resource refs, scalar32, enums, buffers, scalar64.
+_HEADER = struct.Struct("<4sBH").pack
+_CALL = struct.Struct("<HB").pack
+_TAG_U16 = struct.Struct("<BH").pack
+_TAG_U32 = struct.Struct("<BI").pack
+_TAG_U64 = struct.Struct("<BQ").pack
+_U16 = struct.Struct("<H").unpack_from
+_U32 = struct.Struct("<I").unpack_from
+_U64 = struct.Struct("<Q").unpack_from
+
+_new = tuple.__new__  # builds named tuples without their Python __new__
 
 
 def serialize_payload(tc: TestCase) -> bytes:
-    out = bytearray(MAGIC)
-    out.append(VERSION)
-    out += struct.pack("<H", len(tc.calls))
-    for call in tc.calls:
-        out += struct.pack("<HB", call.ordinal, len(call.args))
-        for arg in call.args:
-            out.append(_TAG[arg.kind])
-            if arg.kind is ArgKind.SCALAR32 or arg.kind is ArgKind.CONST_ENUM:
-                out += struct.pack("<I", arg.value)
-            elif arg.kind is ArgKind.SCALAR64:
-                out += struct.pack("<Q", arg.value)
-            elif arg.kind is ArgKind.BUFFER:
-                if len(arg.value) > 0xFFFF:
+    resref = ArgKind.RESOURCE_REF
+    scalar32 = ArgKind.SCALAR32
+    enum_k = ArgKind.CONST_ENUM
+    buffer_k = ArgKind.BUFFER
+    scalar64 = ArgKind.SCALAR64
+    tag_u16 = _TAG_U16
+    tag_u32 = _TAG_U32
+    out = [_HEADER(MAGIC, VERSION, len(tc.calls))]
+    append = out.append
+    for ordinal, args in tc.calls:
+        append(_CALL(ordinal, len(args)))
+        for kind, value in args:
+            if kind is resref:
+                append(tag_u16(3, value))
+            elif kind is scalar32:
+                append(tag_u32(0, value))
+            elif kind is enum_k:
+                append(tag_u32(4, value))
+            elif kind is buffer_k:
+                if len(value) > 0xFFFF:
                     raise PayloadError(
-                        PayloadErrorCode.BUFFER_TOO_LONG,
-                        f"{len(arg.value)} bytes",
+                        PayloadErrorCode.BUFFER_TOO_LONG, f"{len(value)} bytes"
                     )
-                out += struct.pack("<H", len(arg.value))
-                out += arg.value
+                append(tag_u16(2, len(value)))
+                append(value)
+            elif kind is scalar64:
+                append(_TAG_U64(1, value))
             else:
-                out += struct.pack("<H", arg.value)
-    return bytes(out)
+                raise ValueError(f"unknown arg kind {kind!r}")
+    return b"".join(out)
 
 
 def deserialize_payload(data: bytes, templates: TemplateSet) -> TestCase:
@@ -96,13 +115,17 @@ def deserialize_payload(data: bytes, templates: TemplateSet) -> TestCase:
     count = data[5] | (data[6] << 8)
     pos = 7
     known = templates.by_ordinal
-    unpack = struct.unpack_from
+    new = _new
+    u16 = _U16
+    u32 = _U32
     calls = []
-    scalar32 = ArgKind.SCALAR32
-    scalar64 = ArgKind.SCALAR64
-    buffer_k = ArgKind.BUFFER
     resref = ArgKind.RESOURCE_REF
+    scalar32 = ArgKind.SCALAR32
     enum_k = ArgKind.CONST_ENUM
+    buffer_k = ArgKind.BUFFER
+    scalar64 = ArgKind.SCALAR64
+    # a read past the end raises IndexError (byte index) or struct.error
+    # (unpack_from); either is a truncation at the field that starts at pos
     try:
         for _ in range(count):
             ordinal = data[pos] | (data[pos + 1] << 8)
@@ -114,35 +137,28 @@ def deserialize_payload(data: bytes, templates: TemplateSet) -> TestCase:
             for _ in range(argc):
                 tag = data[pos]
                 pos += 1
-                if tag == 0 or tag == 4:
-                    if pos + 4 > end:
-                        raise IndexError
-                    args.append(
-                        ArgValue(scalar32 if tag == 0 else enum_k, unpack("<I", data, pos)[0])
-                    )
+                if tag == 3:
+                    args.append(new(ArgValue, (resref, u16(data, pos)[0])))
+                    pos += 2
+                elif tag == 0:
+                    args.append(new(ArgValue, (scalar32, u32(data, pos)[0])))
                     pos += 4
-                elif tag == 1:
-                    if pos + 8 > end:
-                        raise IndexError
-                    args.append(ArgValue(scalar64, unpack("<Q", data, pos)[0]))
-                    pos += 8
+                elif tag == 4:
+                    args.append(new(ArgValue, (enum_k, u32(data, pos)[0])))
+                    pos += 4
                 elif tag == 2:
-                    if pos + 2 > end:
-                        raise IndexError
-                    blen = data[pos] | (data[pos + 1] << 8)
+                    blen = u16(data, pos)[0]
                     pos += 2
                     if pos + blen > end:
                         raise IndexError
-                    args.append(ArgValue(buffer_k, data[pos : pos + blen]))
+                    args.append(new(ArgValue, (buffer_k, data[pos : pos + blen])))
                     pos += blen
-                elif tag == 3:
-                    if pos + 2 > end:
-                        raise IndexError
-                    args.append(ArgValue(resref, data[pos] | (data[pos + 1] << 8)))
-                    pos += 2
+                elif tag == 1:
+                    args.append(new(ArgValue, (scalar64, _U64(data, pos)[0])))
+                    pos += 8
                 else:
                     raise PayloadError(PayloadErrorCode.UNKNOWN_ARG_TAG, str(tag))
-            calls.append(Syscall(ordinal, tuple(args)))
-    except IndexError:
+            calls.append(new(Syscall, (ordinal, tuple(args))))
+    except (IndexError, struct.error):
         raise PayloadError(PayloadErrorCode.TRUNCATED, f"at offset {pos}")
     return TestCase(tuple(calls))

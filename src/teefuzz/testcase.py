@@ -4,6 +4,12 @@ A test case is an ordered list of calls; a resource argument refers back
 (by call index) to an earlier call that produces the matching resource
 kind.  Generation and mutation always return valid test cases; the
 validator is the independent oracle for that closure property.
+
+Calls and arguments are immutable named tuples, so mutation is
+copy-on-write: a mutated case shares the calls it leaves unchanged with
+its seed.  Only calls whose arguments or resource refs change are built
+anew, and, when a removal leaves a dangling ref, the calls from the first
+one that repair must fix on.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
+from typing import NamedTuple
 
 from .templates import (
     ParamKind,
@@ -50,8 +57,7 @@ _KIND_FOR_PARAM = {
 }
 
 
-@dataclass(frozen=True)
-class ArgValue:
+class ArgValue(NamedTuple):
     kind: ArgKind
     value: int | bytes
 
@@ -76,8 +82,7 @@ class ArgValue:
         return ArgValue(ArgKind.CONST_ENUM, v & U32_MAX)
 
 
-@dataclass(frozen=True)
-class Syscall:
+class Syscall(NamedTuple):
     ordinal: int
     args: tuple[ArgValue, ...]
 
@@ -85,6 +90,8 @@ class Syscall:
 @dataclass(frozen=True)
 class TestCase:
     calls: tuple[Syscall, ...]
+
+    __test__ = False  # not a pytest test class
 
     def __len__(self):
         return len(self.calls)
@@ -261,28 +268,76 @@ def _producer_indices(
 
 
 def _remap_refs(calls: list[Syscall], start: int, remap) -> None:
-    """Rewrite resource-ref values of calls[start:] through `remap`."""
+    """Rewrite resource-ref values of calls[start:] through `remap`.
+
+    A call whose refs all keep their values stays the same object.
+    """
+    ref = ArgKind.RESOURCE_REF
     for i in range(start, len(calls)):
         call = calls[i]
-        if not any(a.kind is ArgKind.RESOURCE_REF for a in call.args):
+        for a in call.args:
+            if a.kind is ref and remap(a.value) != a.value:
+                break
+        else:
             continue
-        args = tuple(
-            ArgValue.resource_ref(remap(a.value)) if a.kind is ArgKind.RESOURCE_REF else a
+        args = [
+            ArgValue.resource_ref(remap(a.value)) if a.kind is ref else a
             for a in call.args
-        )
-        calls[i] = Syscall(call.ordinal, args)
+        ]
+        calls[i] = Syscall(call.ordinal, tuple(args))
+
+
+def _valid_prefix(calls: list[Syscall], templates: TemplateSet, max_len: int) -> int:
+    """Number of leading calls that `_repair` keeps exactly as they are.
+
+    Call i is kept when i < max_len, its arity is its template's, and each
+    of its resource refs points back to an earlier call that produces the
+    kind the parameter names.
+    """
+    by_ordinal = templates.by_ordinal
+    ref = ArgKind.RESOURCE_REF
+    made: list[str | None] = []  # resource kind produced by each call so far
+    for i, call in enumerate(calls):
+        if i == max_len:
+            return i
+        t = by_ordinal[call.ordinal]
+        params = t.params
+        if len(call.args) != len(params):
+            return i
+        j = 0
+        for arg in call.args:
+            if arg.kind is ref:
+                tgt = arg.value
+                if not (
+                    isinstance(tgt, int)
+                    and 0 <= tgt < i
+                    and made[tgt] == params[j].resource_kind
+                ):
+                    return i
+            j += 1
+        made.append(t.produces_resource)
+    return len(calls)
 
 
 def _repair(calls: list[Syscall], templates: TemplateSet, rng: Random, max_len: int) -> list[Syscall]:
-    """Rebuild the list so every resource ref is backward and well-kinded.
+    """Make every resource ref backward and well-kinded.
 
-    Dangling refs re-target the nearest preceding producer of the kind;
-    when none exists a producer chain is generated in front, and if that
-    would blow max_len the consumer call is dropped instead.
+    A non-empty list that is already valid comes back as it is, with no
+    rng draw.  Otherwise the calls before the first one that needs repair
+    are kept and the rest are rebuilt: dangling refs re-target the nearest
+    preceding producer of the kind; when none exists a producer chain is
+    generated in front, and if that would blow max_len the consumer call
+    is dropped instead.
     """
+    start = _valid_prefix(calls, templates, max_len)
+    if calls and start == len(calls):
+        return calls
     out = _Builder(templates, rng, max_len)
-    index_map: dict[int, int] = {}
-    for old_i, call in enumerate(calls):
+    out.calls = calls[:start]
+    out.producers = _producer_indices(out.calls, templates)
+    index_map: dict[int, int] = {i: i for i in range(start)}
+    for old_i in range(start, len(calls)):
+        call = calls[old_i]
         t = templates.by_ordinal[call.ordinal]
         new_args: list[ArgValue] = []
         keep = True

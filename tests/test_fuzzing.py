@@ -5,8 +5,8 @@ from random import Random
 import pytest
 
 from teefuzz.config import CampaignConfig
-from teefuzz.fuzzing import FuzzCampaign, SeedNode
-from teefuzz.minitee import GROUND_TRUTH_REGIONS
+from teefuzz.fuzzing import FuzzCampaign, SeedNode, dedup, preserve
+from teefuzz.minitee import GROUND_TRUTH_REGIONS, FaultRecord
 from teefuzz.probe import SimProbe
 from teefuzz.statevars import StateVarRegion, empty_state_hash
 from teefuzz.stt import build_stt
@@ -147,6 +147,105 @@ def test_stats_file_closed_when_run_raises(templates, seed_corpus, tmp_path):
     rows = [json.loads(line) for line in (tmp_path / "stats.jsonl").read_text().splitlines()]
     assert rows and all(set(r) == {"execs", "branches", "states", "crashes", "syscalls"} for r in rows)
     assert [r["execs"] for r in rows] == list(range(10, 10 * len(rows) + 1, 10))
+
+
+# --- preservation, crash identity and crash confirmation ----------------------
+
+
+def test_preserve_opens_a_bucket_for_a_new_state(seed_corpus):
+    tc = seed_corpus[0]
+    seedmap, hitmap, global_cov = {}, {}, set()
+    assert preserve(tc, [({1, 2}, 10), ({2}, 20)], global_cov, seedmap, hitmap) == [10, 20]
+    assert seedmap[10] == seedmap[20] and len(seedmap[10]) == 1
+    node = seedmap[10][0]
+    assert node.testcase is tc and node.branch_cov == {1, 2} and node.cov_size == 2
+    assert hitmap == {10: 1, 20: 1}
+    assert global_cov == {1, 2}
+
+
+def test_preserve_appends_one_node_to_the_bucket_of_the_state_with_a_new_branch(seed_corpus):
+    old, tc = seed_corpus[0], seed_corpus[1]
+    seedmap, hitmap, global_cov = {}, {}, set()
+    preserve(old, [({1}, 10), ({2}, 20)], global_cov, seedmap, hitmap)
+    # branch 3 is new and first seen after the call that reached state 20;
+    # state 10 is known and its call brought nothing new
+    added = preserve(tc, [({1}, 10), ({2, 3}, 20), ({3}, 20)], global_cov, seedmap, hitmap)
+    assert added == [20]
+    assert [n.testcase for n in seedmap[10]] == [old]
+    assert [n.testcase for n in seedmap[20]] == [old, tc]
+    assert seedmap[20][1].branch_cov == {1, 2, 3}
+    assert global_cov == {1, 2, 3}
+
+
+def test_preserve_counts_one_hit_per_state_occurrence(seed_corpus):
+    seedmap, hitmap, global_cov = {}, {}, set()
+    per_call = [(set(), 10), (set(), 10), (set(), 20), (set(), 10)]
+    preserve(seed_corpus[0], per_call, global_cov, seedmap, hitmap)
+    assert hitmap == {10: 3, 20: 1}
+    preserve(seed_corpus[1], per_call, global_cov, seedmap, hitmap)
+    assert hitmap == {10: 6, 20: 2}
+    # a state reached several times by one run still gets one node
+    assert [len(seedmap[10]), len(seedmap[20])] == [1, 1]
+
+
+def test_preserve_of_a_run_with_nothing_new_adds_no_node(seed_corpus):
+    seedmap, hitmap, global_cov = {}, {}, set()
+    preserve(seed_corpus[0], [({1, 2}, 10)], global_cov, seedmap, hitmap)
+    before = {sh: list(nodes) for sh, nodes in seedmap.items()}
+    per_call = [({1}, 10), ({2}, 10)]
+    assert preserve(seed_corpus[1], per_call, global_cov, seedmap, hitmap) == []
+    assert seedmap == before
+    assert hitmap == {10: 3}
+    assert global_cov == {1, 2} and all(cov <= global_cov for cov, _ in per_call)
+
+
+def test_dedup_keys_on_the_top_three_frames():
+    fault = FaultRecord("hard_fault", ("a", "b", "c", "d"), 0)
+    deeper = FaultRecord("null_deref", ("a", "b", "c", "e", "f"), 3)
+    other = FaultRecord("hard_fault", ("a", "b", "x", "d"), 0)
+    assert dedup(fault, set()) == (("a", "b", "c"), True)
+    assert dedup(deeper, {("a", "b", "c")}) == (("a", "b", "c"), False)
+    assert dedup(other, {("a", "b", "c")}) == (("a", "b", "x"), True)
+    assert dedup(FaultRecord("hard_fault", ("a",), 0), set()) == (("a",), True)
+
+
+def test_dedup_rejects_a_fault_without_frames():
+    with pytest.raises(ValueError, match="no frames"):
+        dedup(FaultRecord("hard_fault", (), 0), set())
+
+
+class FlakyCrashProbe:
+    """Probe whose replay of a crashing payload comes back clean."""
+
+    def __init__(self, probe):
+        self.probe = probe
+        self.crashed: set[bytes] = set()
+        self.faults = 0
+
+    def submit(self, payload, on_syscall=None):
+        result = self.probe.submit(payload, on_syscall)
+        if result.fault is None:
+            return result
+        if payload in self.crashed:
+            return result._replace(fault=None)
+        self.crashed.add(payload)
+        self.faults += 1
+        return result
+
+
+def test_a_crash_that_does_not_replay_is_dropped_but_counted(templates, seed_corpus):
+    probe = FlakyCrashProbe(SimProbe(1, templates))
+    config = CampaignConfig(budget=300, campaign_seed=1)
+    campaign = FuzzCampaign(config, probe, templates, seed_corpus, REGIONS)
+    report = campaign.run()
+    assert probe.faults > 0
+    assert report.unique_crashes == [] and report.crashes == []
+    assert campaign.known_crashes == set()
+    # every first-time fault is replayed once, since none is ever recorded
+    assert report.crash_replays == probe.faults
+    assert report.submissions == (
+        report.generated + report.mutated + report.seed_replays + report.crash_replays
+    )
 
 
 # --- golden reports -----------------------------------------------------------
