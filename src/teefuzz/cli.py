@@ -63,7 +63,7 @@ def cmd_fuzz(args) -> int:
         cfg = load_config(args.config)
         templates, seeds = _load_inputs(cfg)
         regions = []
-        if cfg.mode in ("composite", "state_only") or cfg.regions_file:
+        if cfg.mode == "composite" or cfg.regions_file:
             if not cfg.regions_file or not Path(cfg.regions_file).exists():
                 raise ConfigError(
                     f"mode {cfg.mode} requires regions_file pointing at an "
@@ -71,12 +71,12 @@ def cmd_fuzz(args) -> int:
                 )
             regions = statevars.load_regions(cfg.regions_file)
         probe = SimProbe(cfg.campaign_seed, templates)
+        out_dir = args.out or cfg.out_dir
+        campaign = fuzzing.FuzzCampaign(cfg, probe, templates, seeds, regions, out_dir)
     except INPUT_ERRORS as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = Path(args.out or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = fuzzing.FuzzCampaign(cfg, probe, templates, seeds, regions, out_dir).run()
+    report = campaign.run()
     print(
         f"executions={report.executions} branches={report.unique_branches} "
         f"states={report.unique_states} crashes={len(report.unique_crashes)}"
@@ -154,7 +154,7 @@ def cmd_replay(args) -> int:
         print("frames: " + " <- ".join(f.frames))
         print("crash-id: " + "__".join(crash_id))
     else:
-        print(f"completed {result.executed_count} calls, no fault")
+        print(f"completed {len(result.per_syscall)} calls, no fault")
     return EXIT_OK
 
 
@@ -163,6 +163,8 @@ def cmd_stt_export(args) -> int:
         templates = _load_templates(args.templates)
         seeds = load_seed_corpus(args.corpus, templates)
         regions = statevars.load_regions(args.regions) if args.regions else []
+        if not regions:
+            raise ConfigError("stt-export needs --regions naming a non-empty regions file")
         probe = SimProbe(args.campaign_seed, templates)
     except INPUT_ERRORS as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-MODES = ("composite", "coverage_only", "state_only")
+MODES = ("composite", "coverage_only")
 
 
 class ConfigError(Exception):
@@ -47,6 +47,8 @@ class CampaignConfig:
             raise ConfigError("infer_budget must be >= 1")
         if self.infer_trials < 1:
             raise ConfigError("infer_trials must be >= 1")
+        if self.stats_every < 1:
+            raise ConfigError("stats_every must be >= 1")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(CampaignConfig)}

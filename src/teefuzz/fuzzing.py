@@ -33,8 +33,8 @@ from .tracecov import coverage_of, fnv1a64
 
 log = logging.getLogger("teefuzz.fuzz")
 
-# feedback state key used when state feedback is off (coverage-only mode
-# degenerates to one synthetic bucket)
+# feedback state key in coverage-only mode, which degenerates to one
+# synthetic bucket
 SYNTHETIC_STATE = 0
 
 CrashId = tuple[str, ...]
@@ -110,8 +110,7 @@ def preserve(
             node_states.append(sh)
             seen_here.add(sh)
     if not node_states:
-        for cov, _ in per_syscall:
-            global_cov |= cov
+        # every call's coverage is already in global_cov
         return node_states
     union: set[int] = set()
     for cov, _ in per_syscall:
@@ -227,19 +226,15 @@ class FuzzCampaign:
         self.regions = sort_regions(regions)
         # compiled once per campaign; also owns the campaign's state-hash cache
         self.compiled = CompiledRegions(self.regions) if self.regions else None
-        self.state_feedback = cfg.mode in ("composite", "state_only")
-        self.branch_feedback = cfg.mode in ("composite", "coverage_only")
+        self.state_feedback = cfg.mode == "composite"
         if self.state_feedback and not self.regions:
-            raise ValueError(f"mode {cfg.mode} needs inferred state regions")
+            raise ValueError("composite mode needs at least one inferred state region")
         self.rng = Random(cfg.campaign_seed)
         self.seedmap: dict[int, list[SeedNode]] = {}
         self.hitmap: dict[int, int] = {}
         self.selector = SeedSelector()
         self.global_cov: set[int] = set()
-        # metrics are always measured, whatever the feedback mode uses
-        self.all_branches: set[int] = (
-            self.global_cov if self.branch_feedback else set()
-        )
+        # states are measured whenever there are regions, whatever the mode
         self.measured_states: set[int] = set()
         self.known_crashes: set[CrashId] = set()
         self.report = CampaignReport()
@@ -273,8 +268,8 @@ class FuzzCampaign:
     def _tick(self) -> None:
         row = (
             self.report.executions,
-            len(self.all_branches),
-            self._state_count(),
+            len(self.global_cov),
+            len(self.measured_states),
             len(self.report.unique_crashes),
         )
         self.report.timeline.append(row)
@@ -293,11 +288,6 @@ class FuzzCampaign:
             )
             self._stats_fp.flush()
 
-    def _state_count(self) -> int:
-        if self.regions:
-            return len(self.measured_states)
-        return len(self.hitmap)
-
     # --- execution -----------------------------------------------------------
 
     def _feedback(self, tc: TestCase, result) -> list[tuple[set[int], int]]:
@@ -306,9 +296,6 @@ class FuzzCampaign:
         compiled = self.compiled
         for sr in result.per_syscall:
             cov = coverage_of(sr.trace)
-            if not self.branch_feedback:
-                self.all_branches |= cov
-                cov = set()
             if compiled is not None:
                 sh = state_hash_from_snapshots(compiled, sr.snapshots)
                 self.measured_states.add(sh)
@@ -390,8 +377,8 @@ class FuzzCampaign:
             if self._stats_fp is not None:
                 self._stats_fp.close()
                 self._stats_fp = None
-        self.report.unique_branches = len(self.all_branches)
-        self.report.unique_states = self._state_count()
+        self.report.unique_branches = len(self.global_cov)
+        self.report.unique_states = len(self.measured_states)
         log.info(
             "campaign done: %d execs, %d branches, %d states, %d crashes (%.1fs)",
             self.report.executions,

@@ -4,9 +4,13 @@ The simulator implements a GP-flavoured crypto syscall surface over two
 handle structures whose leading fields are ground-truth state variables.
 Each handler is a hand-authored branching program; walking it emits
 branch-trace packets from the secure address window, interleaved with
-normal-world noise packets.  Five bugs are seeded, exactly one of which
-(B4) is gated behind the key_set_and_initialized state, so that state
-feedback has something measurable to win.
+normal-world noise packets.  Five bugs are seeded (BUG_FRAMES), exactly
+one of which (B4) is gated behind the key_set_and_initialized state, so
+that state feedback has something measurable to win.
+
+The probe uses two methods: reset() and execute_payload(), which returns
+each executed call's trace, return code and a snapshot of every live
+handle buffer.  Nothing else of the target is read from outside.
 
 Given a fixed campaign seed, execution is a pure function of the payload
 bytes.  The execution key mixes the campaign key with the payload's
@@ -131,16 +135,15 @@ class SyscallResult(NamedTuple):
 class ExecutionResult(NamedTuple):
     per_syscall: list[SyscallResult]
     fault: FaultRecord | None
-    executed_count: int
 
 
-class SeededBug(NamedTuple):
-    bug_id: str
-    kind: str
-    trigger: str
-    min_state: str
-
-
+# Stack frames of the seeded bugs; a crash id is the top three.
+#   B1  TEE_Malloc above MALLOC_LIMIT exhausts the secure heap
+#   B2  TEE_PopulateTransientObject above ATTR_OVERFLOW_COUNT attributes
+#   B3  TEE_MACCompareFinal on a null operation
+#   B4  TEE_MACUpdate above CHUNK_OVERFLOW_SIZE, on a MAC operation in
+#       handleState 3 (key_set_and_initialized) only
+#   B5  TEE_CipherInit through a freed operation handle
 BUG_FRAMES = {
     "B1": ("pool_reserve", "tee_malloc", "syscall_dispatch", "ta_invoke_entry"),
     "B2": (
@@ -154,44 +157,6 @@ BUG_FRAMES = {
     "B5": ("op_validate_magic", "tee_cipher_init", "syscall_dispatch", "ta_invoke_entry"),
 }
 DECODE_FRAMES = ("payload_decode", "ta_process_payload", "ta_main_loop")
-
-
-def seeded_bug_catalog() -> list[SeededBug]:
-    return [
-        SeededBug(
-            "B1",
-            FAULT_RESOURCE_EXHAUSTION,
-            f"TEE_Malloc with len > 0x{MALLOC_LIMIT:X} exhausts the secure heap",
-            "any",
-        ),
-        SeededBug(
-            "B2",
-            FAULT_MEM_OVERWRITE,
-            f"TEE_PopulateTransientObject with attrCount > {ATTR_OVERFLOW_COUNT} "
-            "overruns the attribute staging array",
-            "object allocated",
-        ),
-        SeededBug(
-            "B3",
-            FAULT_NULL_DEREF,
-            "TEE_MACCompareFinal dereferences the operation parameter without "
-            "a null check",
-            "any",
-        ),
-        SeededBug(
-            "B4",
-            FAULT_MEM_OVERWRITE,
-            f"TEE_MACUpdate with chunkSize > {CHUNK_OVERFLOW_SIZE} overruns the "
-            "absorb buffer; chunkSize is only used once the state checks pass",
-            "handleState=3 (key_set_and_initialized) on a MAC operation",
-        ),
-        SeededBug(
-            "B5",
-            FAULT_UNTRUSTED_DEREF,
-            "TEE_CipherInit reads through a freed operation handle",
-            "operation freed",
-        ),
-    ]
 
 
 def _mix(x: int) -> int:
@@ -297,29 +262,11 @@ class MiniTee:
         self._next_addr = 0
         self._exec_key = 0
 
-    def live_handles(self) -> list[_Handle]:
-        return [h for h in self.handles.values() if h.live]
-
-    def read_memory(self, handle_id: int, offset: int, length: int) -> bytes:
-        h = self.handles.get(handle_id)
-        if h is None or not h.live:
-            raise KeyError(f"dead or unknown handle {handle_id:#x}")
-        if offset < 0 or length < 0 or offset + length > len(h.buf):
-            raise ValueError(
-                f"read [{offset}, {offset + length}) out of range for "
-                f"{h.kind} handle of {len(h.buf)} bytes"
-            )
-        return bytes(h.buf[offset : offset + length])
-
     def execute_payload(self, data: bytes) -> ExecutionResult:
         try:
             tc = deserialize_payload(data, self.templates)
         except PayloadError:
-            return ExecutionResult(
-                per_syscall=[],
-                fault=FaultRecord(FAULT_HARD, DECODE_FRAMES, 0),
-                executed_count=0,
-            )
+            return ExecutionResult(per_syscall=[], fault=FaultRecord(FAULT_HARD, DECODE_FRAMES, 0))
         self._exec_key = exec_key = _mix(self._campaign_key ^ zlib.crc32(data))
         per_syscall: list[SyscallResult] = []
         results: list[int] = []
@@ -337,11 +284,7 @@ class MiniTee:
             per_syscall.append(
                 _new(SyscallResult, (w.trace, self._refresh_noise(noise_key), ret))
             )
-        return ExecutionResult(
-            per_syscall=per_syscall,
-            fault=fault,
-            executed_count=len(per_syscall),
-        )
+        return ExecutionResult(per_syscall=per_syscall, fault=fault)
 
     # --- internals --------------------------------------------------------------
 

@@ -1,37 +1,15 @@
-"""Probe bridge: the transport contract between fuzzer and target.
+"""Probe bridge: the one operation between fuzzer and target.
 
-Mirrors what a hardware debug probe provides -- payload delivery, target
-reset, trace streaming and direct memory reads -- behind an interface
-small enough that a real probe backend can drop in later.  The only
-backend here drives an in-process MiniTee instance.
+As with a hardware debug probe, a test case goes to the target as payload
+bytes, and its trace and handle-state feedback come back in one result.
+The only backend here drives an in-process MiniTee instance.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Callable
 
 from .minitee import ExecutionResult, MiniTee, SyscallResult
-
-CAPABILITIES = ("write_payload", "reset", "stream_trace", "read_memory")
-
-
-class ProbeClosed(Exception):
-    pass
-
-
-class ProbeEndpoint(Protocol):
-    backend_id: str
-    capabilities: tuple[str, ...]
-
-    def submit(
-        self,
-        payload: bytes,
-        on_syscall: Callable[[int, SyscallResult], None] | None = None,
-    ) -> ExecutionResult: ...
-
-    def read_memory(self, handle_id: int, offset: int, length: int) -> bytes: ...
-
-    def close(self) -> None: ...
 
 
 class SimProbe:
@@ -41,20 +19,14 @@ class SimProbe:
     never depend on earlier submissions.
     """
 
-    backend_id = "minitee-sim"
-    capabilities = CAPABILITIES
-
     def __init__(self, campaign_seed: int, templates=None):
         self.sim = MiniTee(campaign_seed, templates)
-        self._open = True
 
     def submit(
         self,
         payload: bytes,
         on_syscall: Callable[[int, SyscallResult], None] | None = None,
     ) -> ExecutionResult:
-        if not self._open:
-            raise ProbeClosed("endpoint closed")
         self.sim.reset()
         result = self.sim.execute_payload(payload)
         if on_syscall is not None:
@@ -64,16 +36,3 @@ class SimProbe:
             for idx, sr in enumerate(result.per_syscall):
                 on_syscall(idx, sr)
         return result
-
-    def read_memory(self, handle_id: int, offset: int, length: int) -> bytes:
-        if not self._open:
-            raise ProbeClosed("endpoint closed")
-        return self.sim.read_memory(handle_id, offset, length)
-
-    def reset(self) -> None:
-        if not self._open:
-            raise ProbeClosed("endpoint closed")
-        self.sim.reset()
-
-    def close(self) -> None:
-        self._open = False

@@ -38,7 +38,6 @@ class StateVarRegion(NamedTuple):
 class SnapshotEntry(NamedTuple):
     testcase_id: int
     call_index: int
-    ordinal: int
     handle_kind: str
     data: bytes
 
@@ -47,13 +46,10 @@ class SnapshotEntry(NamedTuple):
 class HandleSnapshotLog:
     entries: list[SnapshotEntry] = field(default_factory=list)
 
-    def append_result(self, testcase_id: int, tc: TestCase, result) -> None:
+    def append_result(self, testcase_id: int, result) -> None:
         for call_index, sr in enumerate(result.per_syscall):
-            ordinal = tc.calls[call_index].ordinal
             for snap in sr.snapshots:
-                self.entries.append(
-                    SnapshotEntry(testcase_id, call_index, ordinal, snap.kind, snap.data)
-                )
+                self.entries.append(SnapshotEntry(testcase_id, call_index, snap.kind, snap.data))
 
 
 # --- snapshot collection -------------------------------------------------------
@@ -91,7 +87,7 @@ def collect_snapshots(
         else:
             tc = mutate_testcase(rng.choice(corpus), templates, rng, max_len)
         result = probe.submit(serialize_payload(tc))
-        logbook.append_result(execs, tc, result)
+        logbook.append_result(execs, result)
         new_cov = False
         for sr in result.per_syscall:
             cov = coverage_of(sr.trace)

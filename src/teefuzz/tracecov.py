@@ -3,8 +3,9 @@
 A trace packet pairs a base address with a short run of branch-condition
 bits (taken / not taken).  Packets from outside the secure address window
 are noise and get dropped; the rest become LCSAJ blocks, one per packet,
-which hash to stable 64-bit branch IDs.  Everything here is pure and
-stateless, so workers can share nothing and still agree on IDs.
+which hash to stable 64-bit branch IDs.  A branch ID is a pure function of
+its packet, so workers can share nothing and still agree on IDs.  Traces
+live only in memory, as the TracePacket lists the probe returns.
 """
 
 from __future__ import annotations
@@ -33,18 +34,17 @@ class TracePacket(NamedTuple):
     bit_count: int
     bits: int
 
-    def validate(self) -> None:
-        if not 1 <= self.bit_count <= 8:
-            raise ValueError(f"bit_count out of range: {self.bit_count}")
-        if self.bits >> self.bit_count:
-            raise ValueError("condition bits exceed bit_count")
-
 
 def fnv1a64(data: bytes, h: int = FNV64_OFFSET) -> int:
     """64-bit FNV-1a over `data`, optionally chained from a prior hash."""
     for b in data:
         h = ((h ^ b) * FNV64_PRIME) & _MASK64
     return h
+
+
+# A block as hashed into its branch ID: base_address u32 LE, bit_count u8,
+# packed bits u8.
+_REC = struct.Struct("<IBB")
 
 
 class _BranchIds(dict):
@@ -71,27 +71,3 @@ def coverage_of(trace: Iterable[TracePacket]) -> set[int]:
     lo, hi = SECURE_RANGE
     ids = _branch_ids
     return {ids[p] for p in trace if lo <= p[0] <= hi}
-
-
-# --- trace dump format ----------------------------------------------------------
-#
-# Binary stream of fixed 6-byte records: base_address u32 LE, bit_count u8,
-# packed bits u8, the same layout that is hashed into a branch ID.
-
-_REC = struct.Struct("<IBB")
-
-
-def dump_trace(packets: Iterable[TracePacket]) -> bytes:
-    return b"".join(_REC.pack(p.base_address, p.bit_count, p.bits) for p in packets)
-
-
-def load_trace(data: bytes) -> list[TracePacket]:
-    if len(data) % _REC.size:
-        raise ValueError("truncated trace dump")
-    packets = []
-    for off in range(0, len(data), _REC.size):
-        base, nbits, bits = _REC.unpack_from(data, off)
-        pkt = TracePacket(base, nbits, bits)
-        pkt.validate()
-        packets.append(pkt)
-    return packets

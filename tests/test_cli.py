@@ -107,3 +107,28 @@ def test_plot_reports_the_malformed_line(tmp_path, capsys, bad_line):
     assert main(["plot", str(stats), "-o", str(out)]) == EXIT_ERROR
     assert f"{stats}:3: malformed stats line" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fuzz_composite_with_an_empty_regions_file_is_a_config_error(tmp_path, capsys):
+    regions = tmp_path / "regions.txt"
+    regions.write_text("# kind offset length\n")
+    config = tmp_path / "campaign.cfg"
+    config.write_text(f"budget = 10\nmode = composite\nregions_file = {regions}\n")
+    assert main(["fuzz", str(config), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "state region" in err
+
+
+@pytest.mark.parametrize("empty_file", [False, True])
+def test_stt_export_without_regions_is_a_config_error(tmp_path, capsys, empty_file):
+    corpus = Path(bundled_template_path()).parent / "seeds"
+    flags = []
+    if empty_file:
+        regions = tmp_path / "regions.txt"
+        regions.write_text("")
+        flags = ["--regions", str(regions)]
+    out = tmp_path / "stt.dot"
+    assert main(["stt-export", str(corpus), *flags, "-o", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "--regions" in err
+    assert not out.exists()

@@ -1,0 +1,15 @@
+import pytest
+
+from teefuzz.config import ConfigError, parse_config
+
+
+def test_state_only_mode_is_rejected_naming_both_modes():
+    with pytest.raises(ConfigError) as e:
+        parse_config("mode = state_only\n")
+    assert "composite" in str(e.value) and "coverage_only" in str(e.value)
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_stats_every_below_one_is_rejected(value):
+    with pytest.raises(ConfigError, match="stats_every"):
+        parse_config(f"stats_every = {value}\n")

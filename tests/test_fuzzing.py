@@ -60,9 +60,9 @@ def select_seed(
     return bucket[-1]
 
 
-def run_campaign(templates, seeds):
-    config = CampaignConfig(budget=BUDGET, campaign_seed=1)
-    campaign = FuzzCampaign(config, SimProbe(1, templates), templates, seeds, REGIONS)
+def run_campaign(templates, seeds, seed=1, mode="composite"):
+    config = CampaignConfig(budget=BUDGET, campaign_seed=seed, mode=mode)
+    campaign = FuzzCampaign(config, SimProbe(seed, templates), templates, seeds, REGIONS)
     return campaign, campaign.run()
 
 
@@ -116,6 +116,26 @@ def test_same_seed_same_report(composite, templates, seed_corpus):
     _, first = composite
     _, again = run_campaign(templates, seed_corpus)
     assert outcome(again) == outcome(first)
+
+
+CLAIM_SEEDS = (1, 2, 3)
+
+
+def test_composite_reaches_more_states_than_coverage_only(composite, templates, seed_corpus):
+    """The paper's state claim at equal budget, over several seeds."""
+    states = {}
+    for seed in CLAIM_SEEDS:
+        report = composite[1] if seed == 1 else run_campaign(templates, seed_corpus, seed)[1]
+        baseline = run_campaign(templates, seed_corpus, seed, "coverage_only")[1]
+        states[seed] = (report.unique_states, baseline.unique_states)
+    wins = sum(ours > theirs for ours, theirs in states.values())
+    verdict = (
+        f"composite reached more states than coverage_only on {wins} of "
+        f"{len(CLAIM_SEEDS)} seeds at {BUDGET} executions; (composite, coverage_only) "
+        f"per seed: {states}"
+    )
+    print(verdict)
+    assert wins == len(CLAIM_SEEDS), verdict
 
 
 class FailingProbe:

@@ -1,20 +1,11 @@
-import pytest
-
 from teefuzz.corpus_io import parse_program
 from teefuzz.payload import serialize_payload
-from teefuzz.probe import ProbeClosed, SimProbe
 from teefuzz.statevars import ABSENT_MARKER, CompiledRegions, StateVarRegion
 from teefuzz.testcase import generate_testcase
 
 
 def payload_for(templates, text):
     return serialize_payload(parse_program(text, templates))
-
-
-def test_capabilities_present(probe):
-    for cap in ("write_payload", "reset", "stream_trace", "read_memory"):
-        assert cap in probe.capabilities
-    assert probe.backend_id == "minitee-sim"
 
 
 def test_submit_is_reset_prefixed(probe, templates, rng):
@@ -33,16 +24,9 @@ def test_two_submits_same_payload_identical(probe, templates, rng):
     assert probe.submit(payload) == probe.submit(payload)
 
 
-def test_per_syscall_length_equals_executed_count(probe, templates, rng):
-    for _ in range(20):
-        tc = generate_testcase(templates, rng, 8)
-        result = probe.submit(serialize_payload(tc))
-        assert len(result.per_syscall) == result.executed_count
-
-
 def test_bad_magic_payload_gives_decode_fault_result(probe):
     result = probe.submit(b"\x00\x00\x00\x00\x01")
-    assert result.executed_count == 0
+    assert len(result.per_syscall) == 0
     assert result.fault is not None
 
 
@@ -62,7 +46,7 @@ def test_streaming_callback_order_and_timing(probe, templates):
 
     result = probe.submit(payload, on_syscall=on_syscall)
     assert seen == [0, 1, 2]
-    assert len(covs) == result.executed_count
+    assert len(covs) == len(result.per_syscall)
     assert all(c >= 1 for c in covs)
 
 
@@ -90,10 +74,3 @@ def test_read_state_regions_absent_after_free(probe, templates):
 
 def test_read_state_regions_empty_list(probe, templates):
     assert final_state_key(probe, templates, KEY_SET, []) == b""
-
-
-def test_closed_endpoint_raises(templates):
-    probe = SimProbe(1)
-    probe.close()
-    with pytest.raises(ProbeClosed):
-        probe.submit(b"xx")

@@ -2,7 +2,6 @@ import struct
 from random import Random
 from typing import NamedTuple
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,9 +11,7 @@ from teefuzz.tracecov import (
     SECURE_RANGE,
     TracePacket,
     coverage_of,
-    dump_trace,
     fnv1a64,
-    load_trace,
 )
 
 
@@ -163,24 +160,3 @@ def test_filter_soundness_noise_never_contributes(pkts):
 def test_hash_block_layout():
     blk = LcsajBlock(0xDEADBEEF, 5, 0b10011)
     assert hash_block(blk) == reference_fnv1a64(struct.pack("<IBB", 0xDEADBEEF, 5, 0b10011))
-
-
-def test_packet_validation():
-    with pytest.raises(ValueError):
-        TracePacket(0, 0, 0).validate()
-    with pytest.raises(ValueError):
-        TracePacket(0, 9, 0).validate()
-    with pytest.raises(ValueError):
-        TracePacket(0, 2, 0b100).validate()
-    TracePacket(0, 2, 0b11).validate()
-
-
-@given(packets_st)
-def test_trace_dump_roundtrip(pkts):
-    assert load_trace(dump_trace(pkts)) == pkts
-
-
-def test_trace_dump_truncation_detected():
-    data = dump_trace([TracePacket(1, 1, 1)])
-    with pytest.raises(ValueError):
-        load_trace(data[:-1])
