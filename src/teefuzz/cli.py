@@ -128,6 +128,8 @@ def cmd_replay(args) -> int:
     try:
         templates = _load_templates(args.templates)
         regions = statevars.load_regions(args.regions) if args.regions else []
+        if args.regions and not regions:
+            raise ConfigError(f"{args.regions}: the regions file names no region")
         probe = SimProbe(args.campaign_seed, templates)
     except INPUT_ERRORS as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -290,7 +290,7 @@ class FuzzCampaign:
 
     # --- execution -----------------------------------------------------------
 
-    def _feedback(self, tc: TestCase, result) -> list[tuple[set[int], int]]:
+    def _feedback(self, result) -> list[tuple[set[int], int]]:
         """Per executed syscall: (branch-ID set, feedback state hash)."""
         out = []
         compiled = self.compiled
@@ -309,7 +309,7 @@ class FuzzCampaign:
         payload = serialize_payload(tc)
         result = self.probe.submit(payload)
         self.report.submissions += 1
-        per_syscall = self._feedback(tc, result)
+        per_syscall = self._feedback(result)
         occurrences: dict[int, int] = {}
         for _, sh in per_syscall:
             occurrences[sh] = occurrences.get(sh, 0) + 1

@@ -85,6 +85,7 @@ RET_NOT_SUPPORTED = 0xFFFF000A
 RET_NO_MEMORY = 0xFFFF000C
 RET_SHORT_BUFFER = 0xFFFF0010
 RET_MAC_INVALID = 0xFFFF0012
+_STATE_ERRORS = (RET_BAD_STATE, RET_BAD_HANDLE)  # set bit 1 of the return block
 
 OP_HANDLE_SIZE = 64
 OBJ_HANDLE_SIZE = 48
@@ -199,13 +200,14 @@ class _Fault(Exception):
 
 
 class _Walk:
-    """The trace of one handler run, noise included, built as it walks.
+    """The trace of one call, noise included, built as it walks.
 
-    Every call to b() records one secure block packet; blocks 0, 2, 4, ...
-    are each preceded by one normal-world noise packet, so noise is at
-    least a third of every per-syscall trace by construction.  Noise
-    packets take their address and bits from a Weyl sequence (one add per
-    packet) seeded with the call's noise key.
+    execute_payload emits block 0 before the handler and blocks 14 and 15
+    after it.  Every call to b() records one secure block packet; blocks
+    0, 2, 4, ... are each preceded by one normal-world noise packet, so
+    noise is at least a third of every per-syscall trace by construction.
+    Noise packets take their address and bits from a Weyl sequence (one
+    add per packet) seeded with the call's noise key.
     """
 
     __slots__ = ("base", "trace", "noise", "even")
@@ -236,16 +238,13 @@ class MiniTee:
         self.templates = templates if templates is not None else load_bundled_templates()
         self._campaign_key = _mix(self.campaign_seed ^ 0x7EE5_0F0F_5EED_0001)
         by_name = self.templates.by_name
-        self._dispatch: dict[int, object] = {}
-        for name, method in _HANDLERS.items():
+        # ordinal -> (handler, base address of its blocks, template arity)
+        self._dispatch: dict[int, tuple] = {}
+        for name, (handler, arity) in _HANDLERS.items():
             t = by_name.get(name)
             if t is None:
                 raise ValueError(f"template set lacks required syscall {name}")
-            self._dispatch[t.ordinal] = method
-        self._handler_base = {
-            ordinal: SECURE_RANGE[0] + 0x1000 * (ordinal + 1)
-            for ordinal in self.templates.by_ordinal
-        }
+            self._dispatch[t.ordinal] = (handler, SECURE_RANGE[0] + 0x1000 * (t.ordinal + 1), arity)
         self.reset()
 
     # --- probe-visible surface ------------------------------------------------
@@ -272,14 +271,17 @@ class MiniTee:
         results: list[int] = []
         fault: FaultRecord | None = None
         for idx, call in enumerate(tc.calls):
-            handler = self._dispatch[call.ordinal]
+            handler, base, arity = self._dispatch[call.ordinal]
             noise_key = _mix(exec_key ^ (idx * 0xD1B54A32D192ED03))
-            w = _Walk(self._handler_base[call.ordinal], noise_key)
+            w = _Walk(base, noise_key)
+            w.b(0, 1, 1 if len(call.args) == arity else 0)
             try:
                 ret, value = handler(self, w, call, results)
             except _Fault as f:
                 fault = FaultRecord(f.kind, f.frames, idx)
                 break
+            w.b(14, 2, 0 if ret == RET_OK else 1 | (2 if ret in _STATE_ERRORS else 0))
+            w.b(15, 1, 1)
             results.append(value)
             per_syscall.append(
                 _new(SyscallResult, (w.trace, self._refresh_noise(noise_key), ret))
@@ -362,27 +364,18 @@ class MiniTee:
         h = self.handles.get(value)
         return h if h is not None and h.kind == "object" else None
 
-    @staticmethod
-    def _ret(w: _Walk, code: int, value: int = 0):
-        if code == RET_OK:
-            w.b(14, 2, 0)
-        else:
-            w.b(14, 2, 1 | (2 if code in (RET_BAD_STATE, RET_BAD_HANDLE) else 0))
-        w.b(15, 1, 1)
-        return code, value
-
     # --- handlers -------------------------------------------------------------
     #
     # Each handler is a small branching program; w.b(block, nbits, bits)
     # records one basic block with the branch decisions taken inside it
-    # (first decision = LSB).  Block ids are static per handler, 14/15 are
-    # the shared return path.
+    # (first decision = LSB).  Block ids are static per handler.  A handler
+    # returns (code, value); execute_payload emits block 0, the arity
+    # check, before it and blocks 14/15, the shared return path, after it.
 
     def _h_allocate_operation(self, w, call, results):
         alg = self._num(call, results, 0)
         mode = self._num(call, results, 1)
         max_key = self._num(call, results, 2)
-        w.b(0, 1, 1 if len(call.args) == 3 else 0)
         if alg in (ALG_AES_CBC, ALG_AES_CTR):
             cls = CLASS_CIPHER
             w.b(2, 2, 1 | (2 if alg == ALG_AES_CTR else 0))
@@ -393,23 +386,23 @@ class MiniTee:
         else:
             w.b(2, 2, 0)
             w.b(3, 1, 0)
-            return self._ret(w, RET_NOT_SUPPORTED)
+            return RET_NOT_SUPPORTED, 0
         mode_ok = (cls == CLASS_CIPHER and mode in (MODE_ENCRYPT, MODE_DECRYPT)) or (
             cls == CLASS_MAC and mode == MODE_MAC
         )
         w.b(4, 2, (1 if mode_ok else 0) | (2 if mode == MODE_DECRYPT else 0))
         if not mode_ok:
-            return self._ret(w, RET_NOT_SUPPORTED)
+            return RET_NOT_SUPPORTED, 0
         w.b(5, 3, _mag3(max_key))
         # size-class rounding of the context allocation
         w.b(10, 5, _mag3(max_key) | ((mode & 3) << 3))
         if max_key > MAX_KEY_BITS:
             w.b(6, 1, 0)
-            return self._ret(w, RET_NO_MEMORY)
+            return RET_NO_MEMORY, 0
         w.b(6, 1, 1)
         if self._live_count["operation"] >= MAX_LIVE_HANDLES:
             w.b(9, 1, 0)
-            return self._ret(w, RET_NO_MEMORY)
+            return RET_NO_MEMORY, 0
         w.b(9, 1, 1)
         h = self._alloc_handle("operation", OP_HANDLE_SIZE)
         h.max_key_bits = max_key
@@ -420,58 +413,55 @@ class MiniTee:
         h.set32(16, OS_INITIAL)
         h.set32(20, 0)
         w.b(7, 2, 1 | (2 if cls == CLASS_MAC else 0))
-        return self._ret(w, RET_OK, h.hid)
+        return RET_OK, h.hid
 
     def _h_free_operation(self, w, call, results):
         v = self._num(call, results, 0)
-        w.b(0, 1, 1 if len(call.args) == 1 else 0)
         h = self._op_of(v)
         w.b(2, 1, 0 if v == 0 else 1)
         if v == 0 or h is None:
-            return self._ret(w, RET_BAD_HANDLE)
+            return RET_BAD_HANDLE, 0
         w.b(3, 1, 1 if h.live else 0)
         if not h.live:
-            return self._ret(w, RET_BAD_HANDLE)
+            return RET_BAD_HANDLE, 0
         w.b(4, 2, h.get32(12) & 3)
         w.b(5, 1, 1 if h.get32(16) == OS_ACTIVE else 0)
         self._free_handle(h)
-        return self._ret(w, RET_OK)
+        return RET_OK, 0
 
     def _h_reset_operation(self, w, call, results):
         v = self._num(call, results, 0)
-        w.b(0, 1, 1 if len(call.args) == 1 else 0)
         h = self._op_of(v)
         w.b(2, 1, 0 if v == 0 or h is None else 1)
         if v == 0 or h is None or not h.live:
-            return self._ret(w, RET_BAD_HANDLE)
+            return RET_BAD_HANDLE, 0
         hs = h.get32(12)
         w.b(3, 2, hs & 3)
         if hs == HS_ALLOCATED:
             w.b(4, 1, 0)
-            return self._ret(w, RET_BAD_STATE)
+            return RET_BAD_STATE, 0
         w.b(4, 1, 1)
         h.set32(12, HS_KEY_SET)
         h.set32(16, OS_INITIAL)
-        return self._ret(w, RET_OK)
+        return RET_OK, 0
 
     def _h_set_operation_key(self, w, call, results):
         v = self._num(call, results, 0)
         kv = self._num(call, results, 1)
-        w.b(0, 1, 1 if len(call.args) == 2 else 0)
         h = self._op_of(v)
         w.b(2, 1, 0 if v == 0 or h is None or not h.live else 1)
         if v == 0 or h is None or not h.live:
-            return self._ret(w, RET_BAD_HANDLE)
+            return RET_BAD_HANDLE, 0
         obj = self._obj_of(kv)
         w.b(3, 1, 0 if kv == 0 or obj is None or not obj.live else 1)
         if kv == 0 or obj is None or not obj.live:
-            return self._ret(w, RET_BAD_HANDLE)
+            return RET_BAD_HANDLE, 0
         w.b(4, 1, 0 if h.get32(12) == HS_KEY_SET_INITIALIZED else 1)
         if h.get32(12) == HS_KEY_SET_INITIALIZED:
-            return self._ret(w, RET_BAD_STATE)
+            return RET_BAD_STATE, 0
         w.b(5, 1, 1 if obj.get32(8) & 1 else 0)
         if not obj.get32(8) & 1:  # not populated: no key material committed
-            return self._ret(w, RET_BAD_STATE)
+            return RET_BAD_STATE, 0
         otype = obj.get32(0)
         cls = h.get32(8)
         type_ok = (cls == CLASS_CIPHER and otype in (OBJ_TYPE_AES, OBJ_TYPE_GENERIC)) or (
@@ -479,29 +469,28 @@ class MiniTee:
         )
         w.b(6, 2, (1 if type_ok else 0) | (2 if otype == OBJ_TYPE_GENERIC else 0))
         if not type_ok:
-            return self._ret(w, RET_BAD_PARAM)
+            return RET_BAD_PARAM, 0
         key_bits = obj.key_len * 8
         w.b(7, 3, _mag3(key_bits))
         if obj.key_len not in VALID_KEY_LENS or key_bits > h.max_key_bits:
             w.b(8, 1, 0)
-            return self._ret(w, RET_BAD_PARAM)
+            return RET_BAD_PARAM, 0
         w.b(8, 1, 1)
         h.set32(12, HS_KEY_SET)
         h.set32(16, OS_INITIAL)
         h.set32(20, key_bits)
-        return self._ret(w, RET_OK)
+        return RET_OK, 0
 
     def _h_cipher_init(self, w, call, results):
         v = self._num(call, results, 0)
         ivv = self._num(call, results, 1)
-        w.b(0, 1, 1 if len(call.args) == 2 else 0)
         w.b(2, 1, 0 if v == 0 else 1)
         if v == 0:
-            return self._ret(w, RET_BAD_PARAM)
+            return RET_BAD_PARAM, 0
         h = self._op_of(v)
         if h is None:
             w.b(3, 1, 0)
-            return self._ret(w, RET_BAD_HANDLE)
+            return RET_BAD_HANDLE, 0
         w.b(3, 1, 1)
         if not h.live:
             # missing liveness validation: the handler walks the freed
@@ -509,23 +498,23 @@ class MiniTee:
             raise _Fault("B5", FAULT_UNTRUSTED_DEREF)
         w.b(4, 1, 1 if h.get32(8) == CLASS_CIPHER else 0)
         if h.get32(8) != CLASS_CIPHER:
-            return self._ret(w, RET_NOT_SUPPORTED)
+            return RET_NOT_SUPPORTED, 0
         w.b(5, 1, 1 if h.get32(12) in (HS_KEY_SET, HS_KEY_SET_INITIALIZED) else 0)
         if h.get32(12) not in (HS_KEY_SET, HS_KEY_SET_INITIALIZED):
-            return self._ret(w, RET_BAD_STATE)
+            return RET_BAD_STATE, 0
         iv_len = self.ivs.get(ivv)
         w.b(6, 1, 0 if iv_len is None else 1)
         if iv_len is None:
-            return self._ret(w, RET_BAD_PARAM)
+            return RET_BAD_PARAM, 0
         w.b(7, 3, _mag3(iv_len))
         w.b(9, 5, _mag3(iv_len) | ((h.get32(12) & 3) << 3))
         if iv_len != 16:
             w.b(8, 1, 0)
-            return self._ret(w, RET_BAD_PARAM)
+            return RET_BAD_PARAM, 0
         w.b(8, 1, 1)
         h.set32(12, HS_KEY_SET_INITIALIZED)
         h.set32(16, OS_INITIAL)
-        return self._ret(w, RET_OK)
+        return RET_OK, 0
 
     def _check_update_target(self, w, call, results, want_class):
         """Shared null/dead/class/state prologue for update and final calls.
@@ -537,17 +526,16 @@ class MiniTee:
         h = self._op_of(v)
         w.b(2, 1, 0 if v == 0 or h is None or not h.live else 1)
         if v == 0 or h is None or not h.live:
-            return None, self._ret(w, RET_BAD_HANDLE)
+            return None, (RET_BAD_HANDLE, 0)
         w.b(3, 1, 1 if h.get32(8) == want_class else 0)
         if h.get32(8) != want_class:
-            return None, self._ret(w, RET_NOT_SUPPORTED)
+            return None, (RET_NOT_SUPPORTED, 0)
         w.b(4, 1, 1 if h.get32(12) == HS_KEY_SET_INITIALIZED else 0)
         if h.get32(12) != HS_KEY_SET_INITIALIZED:
-            return None, self._ret(w, RET_BAD_STATE)
+            return None, (RET_BAD_STATE, 0)
         return h, None
 
     def _h_cipher_update(self, w, call, results):
-        w.b(0, 1, 1 if len(call.args) == 3 else 0)
         h, err = self._check_update_target(w, call, results, CLASS_CIPHER)
         if h is None:
             return err
@@ -556,18 +544,17 @@ class MiniTee:
         chunk_len = self.chunks.get(src)
         w.b(5, 1, 0 if chunk_len is None else 1)
         if chunk_len is None:
-            return self._ret(w, RET_BAD_PARAM)
+            return RET_BAD_PARAM, 0
         w.b(6, 3, _mag3(src_len))
         if src_len > chunk_len:
             w.b(7, 1, 0)
-            return self._ret(w, RET_SHORT_BUFFER)
+            return RET_SHORT_BUFFER, 0
         w.b(7, 1, 1)
         w.b(8, 2, (1 if h.get32(16) == OS_INITIAL else 0) | (2 if src_len == 0 else 0))
         h.set32(16, OS_ACTIVE)
-        return self._ret(w, RET_OK)
+        return RET_OK, 0
 
     def _h_cipher_do_final(self, w, call, results):
-        w.b(0, 1, 1 if len(call.args) == 3 else 0)
         h, err = self._check_update_target(w, call, results, CLASS_CIPHER)
         if h is None:
             return err
@@ -576,46 +563,44 @@ class MiniTee:
         chunk_len = self.chunks.get(src)
         w.b(5, 1, 0 if chunk_len is None else 1)
         if chunk_len is None:
-            return self._ret(w, RET_BAD_PARAM)
+            return RET_BAD_PARAM, 0
         w.b(6, 3, _mag3(dst_len))
         if dst_len > DATA_LIMIT:
             w.b(7, 1, 0)
-            return self._ret(w, RET_SHORT_BUFFER)
+            return RET_SHORT_BUFFER, 0
         w.b(7, 1, 1)
         w.b(8, 1, 1 if h.get32(16) == OS_ACTIVE else 0)
         w.b(9, 5, _mag3(dst_len) | ((chunk_len & 3) << 3))
         h.set32(12, HS_KEY_SET)
         h.set32(16, OS_INITIAL)
-        return self._ret(w, RET_OK)
+        return RET_OK, 0
 
     def _h_mac_init(self, w, call, results):
         v = self._num(call, results, 0)
         ivv = self._num(call, results, 1)
-        w.b(0, 1, 1 if len(call.args) == 2 else 0)
         h = self._op_of(v)
         w.b(2, 1, 0 if v == 0 or h is None or not h.live else 1)
         if v == 0 or h is None or not h.live:
-            return self._ret(w, RET_BAD_HANDLE)
+            return RET_BAD_HANDLE, 0
         w.b(3, 1, 1 if h.get32(8) == CLASS_MAC else 0)
         if h.get32(8) != CLASS_MAC:
-            return self._ret(w, RET_NOT_SUPPORTED)
+            return RET_NOT_SUPPORTED, 0
         w.b(4, 1, 1 if h.get32(12) in (HS_KEY_SET, HS_KEY_SET_INITIALIZED) else 0)
         if h.get32(12) not in (HS_KEY_SET, HS_KEY_SET_INITIALIZED):
-            return self._ret(w, RET_BAD_STATE)
+            return RET_BAD_STATE, 0
         iv_len = self.ivs.get(ivv)
         # MAC configuration takes at most a small salt
         ok = iv_len is not None and iv_len <= 8
         w.b(5, 2, (0 if iv_len is None else 1) | (2 if ok else 0))
         if not ok:
-            return self._ret(w, RET_BAD_PARAM)
+            return RET_BAD_PARAM, 0
         h.set32(12, HS_KEY_SET_INITIALIZED)
         h.set32(16, OS_INITIAL)
-        return self._ret(w, RET_OK)
+        return RET_OK, 0
 
     def _h_mac_update(self, w, call, results):
         # the absorb path is deliberately branch-poor: progress in here is
         # visible as state, barely as coverage
-        w.b(0, 1, 1 if len(call.args) == 3 else 0)
         h, err = self._check_update_target(w, call, results, CLASS_MAC)
         if h is None:
             return err
@@ -624,7 +609,7 @@ class MiniTee:
         chunk_len = self.chunks.get(chunk)
         w.b(5, 1, 0 if chunk_len is None else 1)
         if chunk_len is None:
-            return self._ret(w, RET_BAD_PARAM)
+            return RET_BAD_PARAM, 0
         if chunk_size > CHUNK_OVERFLOW_SIZE:
             # the absorb loop trusts chunkSize with no bound check (seeded
             # bug B4) -- reachable only behind the class and
@@ -632,13 +617,12 @@ class MiniTee:
             raise _Fault("B4", FAULT_MEM_OVERWRITE)
         if chunk_size > chunk_len:
             w.b(6, 1, 0)
-            return self._ret(w, RET_SHORT_BUFFER)
+            return RET_SHORT_BUFFER, 0
         w.b(6, 1, 1)
         h.set32(16, OS_ACTIVE)
-        return self._ret(w, RET_OK)
+        return RET_OK, 0
 
     def _h_mac_compute_final(self, w, call, results):
-        w.b(0, 1, 1 if len(call.args) == 3 else 0)
         h, err = self._check_update_target(w, call, results, CLASS_MAC)
         if h is None:
             return err
@@ -647,18 +631,17 @@ class MiniTee:
         chunk_len = self.chunks.get(msg)
         w.b(5, 1, 0 if chunk_len is None else 1)
         if chunk_len is None:
-            return self._ret(w, RET_BAD_PARAM)
+            return RET_BAD_PARAM, 0
         if msg_len > DATA_LIMIT:
             w.b(6, 1, 0)
-            return self._ret(w, RET_SHORT_BUFFER)
+            return RET_SHORT_BUFFER, 0
         w.b(6, 1, 1)
         h.set32(12, HS_KEY_SET)
         h.set32(16, OS_INITIAL)
-        return self._ret(w, RET_OK)
+        return RET_OK, 0
 
     def _h_mac_compare_final(self, w, call, results):
         v = self._num(call, results, 0)
-        w.b(0, 1, 1 if len(call.args) == 3 else 0)
         # context load dereferences the operation before any null check
         # (seeded bug B3)
         if v == 0:
@@ -667,18 +650,18 @@ class MiniTee:
         h = self._op_of(v)
         w.b(3, 1, 0 if h is None or not h.live else 1)
         if h is None or not h.live:
-            return self._ret(w, RET_BAD_HANDLE)
+            return RET_BAD_HANDLE, 0
         w.b(4, 1, 1 if h.get32(8) == CLASS_MAC else 0)
         if h.get32(8) != CLASS_MAC:
-            return self._ret(w, RET_NOT_SUPPORTED)
+            return RET_NOT_SUPPORTED, 0
         w.b(5, 1, 1 if h.get32(12) == HS_KEY_SET_INITIALIZED else 0)
         if h.get32(12) != HS_KEY_SET_INITIALIZED:
-            return self._ret(w, RET_BAD_STATE)
+            return RET_BAD_STATE, 0
         msg = self._num(call, results, 1)
         chunk_len = self.chunks.get(msg)
         w.b(6, 1, 0 if chunk_len is None else 1)
         if chunk_len is None:
-            return self._ret(w, RET_BAD_PARAM)
+            return RET_BAD_PARAM, 0
         mac = self._bytes_arg(call, 2)
         # keyed permutation stands in for the real MAC
         expect = _mix(self._campaign_key ^ h.get32(20) ^ (chunk_len * 0x9E37))
@@ -686,12 +669,11 @@ class MiniTee:
         w.b(7, 1, 1 if match else 0)
         h.set32(12, HS_KEY_SET)
         h.set32(16, OS_INITIAL)
-        return self._ret(w, RET_OK if match else RET_MAC_INVALID)
+        return (RET_OK if match else RET_MAC_INVALID), 0
 
     def _h_allocate_transient_object(self, w, call, results):
         otype = self._num(call, results, 0)
         max_size = self._num(call, results, 1)
-        w.b(0, 1, 1 if len(call.args) == 2 else 0)
         if otype == OBJ_TYPE_AES:
             w.b(2, 2, 1)
         elif otype == OBJ_TYPE_HMAC:
@@ -701,68 +683,65 @@ class MiniTee:
         else:
             w.b(2, 2, 0)
             w.b(3, 1, 0)
-            return self._ret(w, RET_NOT_SUPPORTED)
+            return RET_NOT_SUPPORTED, 0
         w.b(3, 1, 1)
         w.b(4, 3, _mag3(max_size))
         w.b(7, 5, _mag3(max_size) | ((otype & 3) << 3))
         if max_size > MAX_OBJ_SIZE:
             w.b(5, 1, 0)
-            return self._ret(w, RET_NO_MEMORY)
+            return RET_NO_MEMORY, 0
         w.b(5, 1, 1)
         if self._live_count["object"] >= MAX_LIVE_HANDLES:
             w.b(6, 1, 0)
-            return self._ret(w, RET_NO_MEMORY)
+            return RET_NO_MEMORY, 0
         w.b(6, 1, 1)
         h = self._alloc_handle("object", OBJ_HANDLE_SIZE)
         h.set32(0, otype)
         h.set32(4, 0xFF)  # default usage: everything allowed
         h.set32(8, 0)
         h.set32(12, 0)
-        return self._ret(w, RET_OK, h.hid)
+        return RET_OK, h.hid
 
     def _h_free_transient_object(self, w, call, results):
         v = self._num(call, results, 0)
-        w.b(0, 1, 1 if len(call.args) == 1 else 0)
         h = self._obj_of(v)
         w.b(2, 1, 0 if v == 0 or h is None or not h.live else 1)
         if v == 0 or h is None or not h.live:
-            return self._ret(w, RET_BAD_HANDLE)
+            return RET_BAD_HANDLE, 0
         w.b(3, 1, 1 if h.get32(8) & 1 else 0)
         self._free_handle(h)
-        return self._ret(w, RET_OK)
+        return RET_OK, 0
 
     def _h_reset_transient_object(self, w, call, results):
         v = self._num(call, results, 0)
-        w.b(0, 1, 1 if len(call.args) == 1 else 0)
         h = self._obj_of(v)
         w.b(2, 1, 0 if v == 0 or h is None or not h.live else 1)
         if v == 0 or h is None or not h.live:
-            return self._ret(w, RET_BAD_HANDLE)
+            return RET_BAD_HANDLE, 0
         w.b(3, 1, 1 if h.get32(8) & 1 else 0)
         h.set32(4, 0xFF)
         h.set32(8, 0)
         h.set32(12, 0)
         h.key_len = 0
         w.b(4, 1, 1)
-        return self._ret(w, RET_OK)
+        return RET_OK, 0
 
     def _h_populate_transient_object(self, w, call, results):
         v = self._num(call, results, 0)
         av = self._num(call, results, 1)
         count = self._num(call, results, 2)
-        w.b(0, 1, 1 if len(call.args) == 3 else 0)
         h = self._obj_of(v)
         w.b(2, 1, 0 if v == 0 else 1)
         if v == 0:
-            return self._ret(w, RET_BAD_PARAM)
+            return RET_BAD_PARAM, 0
         if h is None or not h.live:
             w.b(3, 1, 0)
-            return self._ret(w, RET_BAD_HANDLE)
+            return RET_BAD_HANDLE, 0
         w.b(3, 1, 1)
         key_len = self.attrs.get(av)
         w.b(4, 1, 0 if key_len is None else 1)
         if key_len is None:
-            return self._ret(w, RET_BAD_PARAM)
+            return RET_BAD_PARAM, 0
         w.b(5, 3, _mag3(count))
         if count > ATTR_OVERFLOW_COUNT:
             # attrs are staged into a fixed on-stack array sized for
@@ -771,11 +750,11 @@ class MiniTee:
             raise _Fault("B2", FAULT_MEM_OVERWRITE)
         if count == 0:
             w.b(6, 1, 0)
-            return self._ret(w, RET_BAD_PARAM)
+            return RET_BAD_PARAM, 0
         w.b(6, 1, 1)
         w.b(7, 1, 0 if h.get32(8) & 1 else 1)
         if h.get32(8) & 1:  # already populated
-            return self._ret(w, RET_BAD_STATE)
+            return RET_BAD_STATE, 0
         h.key_len = key_len
         h.set32(8, 1 | (2 if key_len > 16 else 0))
         h.set32(4, 0x30 | (h.get32(0) & 0xF))
@@ -783,28 +762,26 @@ class MiniTee:
         w.b(8, 2, (1 if key_len else 0) | (2 if count > 1 else 0))
         # copy loop shape depends on staged count and material alignment
         w.b(9, 5, _mag3(count) | ((key_len & 3) << 3))
-        return self._ret(w, RET_OK)
+        return RET_OK, 0
 
     def _h_restrict_object_usage(self, w, call, results):
         v = self._num(call, results, 0)
         usage = self._num(call, results, 1)
-        w.b(0, 1, 1 if len(call.args) == 2 else 0)
         h = self._obj_of(v)
         w.b(2, 1, 0 if v == 0 or h is None or not h.live else 1)
         if v == 0 or h is None or not h.live:
-            return self._ret(w, RET_BAD_HANDLE)
+            return RET_BAD_HANDLE, 0
         # usage bits above the low two of the 0x30 family are reserved
         mask = 0x30 | (usage & 0x3)
         w.b(3, 2, usage & 3)
         w.b(4, 1, 1 if h.get32(4) & mask != h.get32(4) else 0)
         w.b(5, 5, _mag3(usage) | ((usage & 3) << 3))
         h.set32(4, h.get32(4) & mask)
-        return self._ret(w, RET_OK)
+        return RET_OK, 0
 
     def _h_malloc(self, w, call, results):
         size = self._num(call, results, 0)
         hint = self._num(call, results, 1)
-        w.b(0, 1, 1 if len(call.args) == 2 else 0)
         w.b(2, 3, _mag3(size))
         if size > MALLOC_LIMIT:
             # the pool reserves without any ceiling (seeded bug B1)
@@ -816,90 +793,82 @@ class MiniTee:
         addr = self._alloc_addr()
         self.mems[addr] = True
         w.b(5, 1, 1)
-        return self._ret(w, RET_OK, addr)
+        return RET_OK, addr
 
     def _h_free(self, w, call, results):
         ptr = self._num(call, results, 0)
-        w.b(0, 1, 1 if len(call.args) == 1 else 0)
         w.b(2, 1, 0 if ptr == 0 else 1)
         if ptr == 0:
-            return self._ret(w, RET_OK)
+            return RET_OK, 0
         alive = self.mems.get(ptr)
         w.b(3, 2, (1 if alive is not None else 0) | (2 if alive else 0))
         if alive is None or not alive:
-            return self._ret(w, RET_BAD_PARAM)
+            return RET_BAD_PARAM, 0
         self.mems[ptr] = False
-        return self._ret(w, RET_OK)
+        return RET_OK, 0
 
     def _h_init_ref_attribute(self, w, call, results):
         attr_id = self._num(call, results, 0)
         data = self._bytes_arg(call, 1)
-        w.b(0, 1, 1 if len(call.args) == 2 else 0)
         w.b(2, 1, 1 if attr_id == 0xC0 else 0)
         w.b(3, 3, _mag3(len(data)))
         w.b(5, 4, _mag3(len(data)) | (8 if attr_id == 0xC0 else 0))
         addr = self._alloc_addr()
         self.attrs[addr] = len(data)
         w.b(4, 1, 1)
-        return self._ret(w, RET_OK, addr)
+        return RET_OK, addr
 
     def _h_init_value_attribute(self, w, call, results):
         attr_id = self._num(call, results, 0)
         a = self._num(call, results, 1)
         b = self._num(call, results, 2)
-        w.b(0, 1, 1 if len(call.args) == 3 else 0)
         w.b(2, 1, 1 if attr_id == 0xD0 else 0)
         w.b(3, 3, _mag3(a))
         w.b(4, 1, b & 1)
         w.b(5, 5, _mag3(b) | ((a & 3) << 3))
         addr = self._alloc_addr()
         self.attrs[addr] = a & 63
-        return self._ret(w, RET_OK, addr)
+        return RET_OK, addr
+
+    def _make_buffer(self, lengths: dict[int, int], w, call, results):
+        length = self._num(call, results, 0)
+        fill = self._num(call, results, 1)
+        w.b(2, 3, _mag3(length))
+        w.b(3, 1, fill & 1)
+        w.b(4, 5, _mag3(length) | ((fill & 3) << 3))
+        addr = self._alloc_addr()
+        lengths[addr] = min(length, 0xFFFF)
+        return RET_OK, addr
 
     def _h_make_iv(self, w, call, results):
-        length = self._num(call, results, 0)
-        fill = self._num(call, results, 1)
-        w.b(0, 1, 1 if len(call.args) == 2 else 0)
-        w.b(2, 3, _mag3(length))
-        w.b(3, 1, fill & 1)
-        w.b(4, 5, _mag3(length) | ((fill & 3) << 3))
-        addr = self._alloc_addr()
-        self.ivs[addr] = min(length, 0xFFFF)
-        return self._ret(w, RET_OK, addr)
+        return self._make_buffer(self.ivs, w, call, results)
 
     def _h_make_chunk(self, w, call, results):
-        length = self._num(call, results, 0)
-        fill = self._num(call, results, 1)
-        w.b(0, 1, 1 if len(call.args) == 2 else 0)
-        w.b(2, 3, _mag3(length))
-        w.b(3, 1, fill & 1)
-        w.b(4, 5, _mag3(length) | ((fill & 3) << 3))
-        addr = self._alloc_addr()
-        self.chunks[addr] = min(length, 0xFFFF)
-        return self._ret(w, RET_OK, addr)
+        return self._make_buffer(self.chunks, w, call, results)
 
 
+# name -> (handler, arity of its template)
 _HANDLERS = {
-    "TEE_AllocateOperation": MiniTee._h_allocate_operation,
-    "TEE_FreeOperation": MiniTee._h_free_operation,
-    "TEE_ResetOperation": MiniTee._h_reset_operation,
-    "TEE_SetOperationKey": MiniTee._h_set_operation_key,
-    "TEE_CipherInit": MiniTee._h_cipher_init,
-    "TEE_CipherUpdate": MiniTee._h_cipher_update,
-    "TEE_CipherDoFinal": MiniTee._h_cipher_do_final,
-    "TEE_MACInit": MiniTee._h_mac_init,
-    "TEE_MACUpdate": MiniTee._h_mac_update,
-    "TEE_MACComputeFinal": MiniTee._h_mac_compute_final,
-    "TEE_MACCompareFinal": MiniTee._h_mac_compare_final,
-    "TEE_AllocateTransientObject": MiniTee._h_allocate_transient_object,
-    "TEE_FreeTransientObject": MiniTee._h_free_transient_object,
-    "TEE_ResetTransientObject": MiniTee._h_reset_transient_object,
-    "TEE_PopulateTransientObject": MiniTee._h_populate_transient_object,
-    "TEE_RestrictObjectUsage": MiniTee._h_restrict_object_usage,
-    "TEE_Malloc": MiniTee._h_malloc,
-    "TEE_Free": MiniTee._h_free,
-    "TEE_InitRefAttribute": MiniTee._h_init_ref_attribute,
-    "TEE_InitValueAttribute": MiniTee._h_init_value_attribute,
-    "TEE_MakeIV": MiniTee._h_make_iv,
-    "TEE_MakeChunk": MiniTee._h_make_chunk,
+    "TEE_AllocateOperation": (MiniTee._h_allocate_operation, 3),
+    "TEE_FreeOperation": (MiniTee._h_free_operation, 1),
+    "TEE_ResetOperation": (MiniTee._h_reset_operation, 1),
+    "TEE_SetOperationKey": (MiniTee._h_set_operation_key, 2),
+    "TEE_CipherInit": (MiniTee._h_cipher_init, 2),
+    "TEE_CipherUpdate": (MiniTee._h_cipher_update, 3),
+    "TEE_CipherDoFinal": (MiniTee._h_cipher_do_final, 3),
+    "TEE_MACInit": (MiniTee._h_mac_init, 2),
+    "TEE_MACUpdate": (MiniTee._h_mac_update, 3),
+    "TEE_MACComputeFinal": (MiniTee._h_mac_compute_final, 3),
+    "TEE_MACCompareFinal": (MiniTee._h_mac_compare_final, 3),
+    "TEE_AllocateTransientObject": (MiniTee._h_allocate_transient_object, 2),
+    "TEE_FreeTransientObject": (MiniTee._h_free_transient_object, 1),
+    "TEE_ResetTransientObject": (MiniTee._h_reset_transient_object, 1),
+    "TEE_PopulateTransientObject": (MiniTee._h_populate_transient_object, 3),
+    "TEE_RestrictObjectUsage": (MiniTee._h_restrict_object_usage, 2),
+    "TEE_Malloc": (MiniTee._h_malloc, 2),
+    "TEE_Free": (MiniTee._h_free, 1),
+    "TEE_InitRefAttribute": (MiniTee._h_init_ref_attribute, 2),
+    "TEE_InitValueAttribute": (MiniTee._h_init_value_attribute, 3),
+    "TEE_MakeIV": (MiniTee._h_make_iv, 2),
+    "TEE_MakeChunk": (MiniTee._h_make_chunk, 2),
 }

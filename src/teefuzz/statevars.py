@@ -260,7 +260,6 @@ def infer_state_vars(
     templates: TemplateSet,
     probe,
     trials: int = 12,
-    repeats: int = 2,
 ) -> list[StateVarRegion]:
     """Confirm candidates by running the varied-configuration trials.
 
@@ -272,13 +271,15 @@ def infer_state_vars(
         raise ValueError("trials must be >= 1")
     grid = trial_grid(templates)[:trials]
     # per kind, per offset, the per-trial final words (None = handle absent
-    # in that trial, "unstable" = repeats disagreed)
+    # in that trial, "unstable" = the two runs disagreed)
     observed: dict[str, dict[int, list[bytes | None | str]]] = {
         kind: {off: [] for off in offs} for kind, offs in candidates.items()
     }
     for tc in grid:
         payload = serialize_payload(tc)
-        runs = [probe.submit(payload) for _ in range(max(1, repeats))]
+        # two runs of each trial: on a real device a word that differs
+        # between identical runs (a nonce, a counter) is not state
+        runs = [probe.submit(payload), probe.submit(payload)]
         for kind, offs in candidates.items():
             per_run = [_final_words(r, kind, offs) for r in runs]
             for off in offs:
@@ -368,11 +369,6 @@ def state_hash_from_snapshots(compiled: CompiledRegions, snapshots) -> int:
     if h is None:
         h = compiled.hashes[key] = fnv1a64(key)
     return h
-
-
-def empty_state_hash(regions: list[StateVarRegion]) -> int:
-    """State hash when no handles are live (the transition-tree root)."""
-    return fnv1a64(ABSENT_MARKER * len(regions))
 
 
 # --- regions file ------------------------------------------------------------------

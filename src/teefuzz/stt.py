@@ -12,12 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .payload import serialize_payload
-from .statevars import (
-    CompiledRegions,
-    StateVarRegion,
-    empty_state_hash,
-    state_hash_from_snapshots,
-)
+from .statevars import CompiledRegions, StateVarRegion, state_hash_from_snapshots
 from .templates import TemplateSet
 from .testcase import TestCase
 
@@ -51,7 +46,7 @@ def build_stt(
     templates: TemplateSet,
 ) -> TransitionTree:
     compiled = CompiledRegions(regions)
-    tree = TransitionTree(root=empty_state_hash(regions))
+    tree = TransitionTree(root=state_hash_from_snapshots(compiled, []))
     for tc in seeds:
         result = probe.submit(serialize_payload(tc))
         prev = tree.root

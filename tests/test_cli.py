@@ -87,6 +87,18 @@ def test_replay_bad_input_is_a_config_error(tmp_path, capsys, which):
     assert err.startswith("config error: ") and where in err
 
 
+def test_replay_with_an_empty_regions_file_is_a_config_error(tmp_path, capsys):
+    payload = tmp_path / "payload.bin"
+    templates = load_templates(bundled_template_path())
+    payload.write_bytes(serialize_payload(parse_program(PROGRAM, templates)))
+    regions = tmp_path / "regions.txt"
+    regions.write_text("# kind offset length\n")
+    assert main(["replay", str(payload), "--regions", str(regions)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and str(regions) in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("which", ["regions", "templates"])
 def test_stt_export_bad_input_is_a_config_error(tmp_path, capsys, which):
     corpus = Path(bundled_template_path()).parent / "seeds"

@@ -8,8 +8,9 @@ from teefuzz.config import CampaignConfig
 from teefuzz.fuzzing import FuzzCampaign, SeedNode, dedup, preserve
 from teefuzz.minitee import GROUND_TRUTH_REGIONS, FaultRecord
 from teefuzz.probe import SimProbe
-from teefuzz.statevars import StateVarRegion, empty_state_hash
+from teefuzz.statevars import StateVarRegion
 from teefuzz.stt import build_stt
+from test_statevars import empty_state_hash
 
 REGIONS = [StateVarRegion(kind, off, 4) for kind, off in GROUND_TRUTH_REGIONS]
 BUDGET = 3_000

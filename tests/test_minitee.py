@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import struct
 from random import Random
@@ -15,7 +16,7 @@ from teefuzz.minitee import (
     MiniTee,
 )
 from teefuzz.payload import serialize_payload
-from teefuzz.testcase import ArgValue, Syscall, TestCase, generate_testcase
+from teefuzz.testcase import ArgValue, Syscall, TestCase, generate_testcase, mutate_testcase
 from teefuzz.tracecov import NOISE_RANGE, SECURE_RANGE
 
 
@@ -285,6 +286,11 @@ def test_b4_gating_exhaustive_over_short_sequences(templates):
 # --- structural invariants ----------------------------------------------------------
 
 
+def test_every_handler_has_the_arity_of_its_bundled_template(templates):
+    for name, (_, arity) in minitee._HANDLERS.items():
+        assert len(templates.by_name[name].params) == arity, name
+
+
 def test_state_fields_stable_without_operation_syscalls(sim, templates):
     payload = prog(
         templates,
@@ -363,3 +369,80 @@ def test_execution_stops_at_the_faulting_call(sim, templates):
     assert r.fault is not None
     assert len(r.per_syscall) == 1
     assert r.fault.faulting_call_index == 1
+
+
+# --- golden feedback ----------------------------------------------------------------
+
+GOLDEN_FEEDBACK_SHA256 = "caf490ac70af38bcbc5e8a9319e786ed4c0e9fb5e7216672cbea6e4d2adc5b83"
+
+
+def golden_payloads(templates, seed_corpus):
+    """The bundled seeds, the deep MAC state that random cases do not reach
+    (B4 among them), 2,000 generated and mutated cases from Random(1), and
+    damaged payloads: one call given one argument fewer or one more than
+    its template, a few bytes overwritten, or the tail cut off."""
+    rng = Random(1)
+    deep = [
+        MAC_SETUP + f"TEE_MACUpdate(r0, r4, {size})\nTEE_MACComputeFinal(r0, r4, 64)\n"
+        for size in (64, 65_536, 100_000)
+    ]
+    cases = list(seed_corpus) + [parse_program(text, templates) for text in deep]
+    tc = cases[0]
+    for k in range(2_000):
+        if k % 2:
+            tc = generate_testcase(templates, rng, 1 + k % 32)
+        else:
+            tc = mutate_testcase(rng.choice(cases), templates, rng, 32)
+        cases.append(tc)
+    payloads = [serialize_payload(tc) for tc in cases]
+    for tc in cases[::4]:
+        i = rng.randrange(len(tc.calls))
+        call = tc.calls[i]
+        extra = ArgValue.scalar32(rng.getrandbits(32))
+        for args in (call.args[:-1], call.args + (extra,)):
+            calls = tc.calls[:i] + (Syscall(call.ordinal, args),) + tc.calls[i + 1 :]
+            payloads.append(serialize_payload(TestCase(calls)))
+        data = bytearray(payloads[-1])
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(len(data))] = rng.getrandbits(8)
+        payloads.append(bytes(data))
+        payloads.append(bytes(data[: rng.randrange(len(data))]))
+    return payloads
+
+
+def feedback_record(result):
+    """What reaches feedback, noise left out: per call the secure-window
+    packets, the return code and each snapshot's kind and ground-truth
+    words; then the fault."""
+    lo, hi = SECURE_RANGE
+    offsets = {
+        kind: [off for k, off in GROUND_TRUTH_REGIONS if k == kind]
+        for kind in ("object", "operation")
+    }
+    calls = [
+        (
+            [tuple(p) for p in sr.trace if lo <= p.base_address <= hi],
+            sr.return_code,
+            [(s.kind, [s.data[o : o + 4] for o in offsets[s.kind]]) for s in sr.snapshots],
+        )
+        for sr in result.per_syscall
+    ]
+    return repr((calls, result.fault)).encode()
+
+
+def test_golden_feedback(templates, seed_corpus):
+    sim = MiniTee(1, templates)
+    digest = hashlib.sha256()
+    faults, codes = set(), set()
+    for data in golden_payloads(templates, seed_corpus):
+        sim.reset()
+        result = sim.execute_payload(data)
+        digest.update(feedback_record(result))
+        if result.fault is not None:
+            faults.add(result.fault.frames)
+        codes.update(sr.return_code for sr in result.per_syscall)
+    assert faults >= {*minitee.BUG_FRAMES.values(), minitee.DECODE_FRAMES}
+    assert minitee.RET_OK in codes
+    assert codes & {minitee.RET_BAD_STATE, minitee.RET_BAD_HANDLE}
+    assert codes - {minitee.RET_OK, minitee.RET_BAD_STATE, minitee.RET_BAD_HANDLE}
+    assert digest.hexdigest() == GOLDEN_FEEDBACK_SHA256

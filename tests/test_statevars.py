@@ -19,7 +19,6 @@ from teefuzz.statevars import (
     CompiledRegions,
     StateVarRegion,
     collect_snapshots,
-    empty_state_hash,
     filter_volatile,
     infer_state_vars,
     load_regions,
@@ -28,6 +27,12 @@ from teefuzz.statevars import (
     state_hash_from_snapshots,
 )
 from teefuzz.tracecov import fnv1a64
+
+
+def empty_state_hash(regions: list[StateVarRegion]) -> int:
+    """Oracle: the state hash when no handles are live (the transition-tree
+    root), straight from the key layout."""
+    return fnv1a64(ABSENT_MARKER * len(regions))
 
 
 def regions_file(tmp_path, bad_line):
