@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .config import CampaignConfig, load_config, parse_config
 from .corpus_io import format_program, load_seed_corpus, parse_program
-from .fuzzing import CampaignReport, FuzzCampaign, dedup, preserve
+from .fuzzing import CampaignReport, FuzzCampaign, crash_id_of, preserve
 from .minitee import ExecutionResult, FaultRecord, MiniTee
 from .payload import deserialize_payload, serialize_payload
 from .probe import SimProbe

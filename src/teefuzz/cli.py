@@ -151,7 +151,7 @@ def cmd_replay(args) -> int:
         print(line)
     if result.fault is not None:
         f = result.fault
-        crash_id = fuzzing.dedup(f, set())[0]
+        crash_id = fuzzing.crash_id_of(f)
         print(f"FAULT kind={f.kind} at call {f.faulting_call_index}")
         print("frames: " + " <- ".join(f.frames))
         print("crash-id: " + "__".join(crash_id))

@@ -78,12 +78,11 @@ class CampaignReport:
     syscalls: int = 0
 
 
-def dedup(fault: FaultRecord, known: set[CrashId]) -> tuple[CrashId, bool]:
+def crash_id_of(fault: FaultRecord) -> CrashId:
     """Crash identity is the top three stack frames."""
     if not fault.frames:
         raise ValueError("fault carries no frames")
-    crash_id = tuple(fault.frames[:3])
-    return crash_id, crash_id not in known
+    return tuple(fault.frames[:3])
 
 
 def preserve(
@@ -327,14 +326,14 @@ class FuzzCampaign:
             self._tick()
 
     def _handle_fault(self, tc: TestCase, payload: bytes, fault: FaultRecord) -> None:
-        crash_id, is_new = dedup(fault, self.known_crashes)
-        if not is_new:
+        crash_id = crash_id_of(fault)
+        if crash_id in self.known_crashes:
             return
         # confirm determinism with a single replay before recording
         replay = self.probe.submit(payload)
         self.report.submissions += 1
         self.report.crash_replays += 1
-        if replay.fault is None or dedup(replay.fault, set())[0] != crash_id:
+        if replay.fault is None or crash_id_of(replay.fault) != crash_id:
             log.warning("crash %s did not reproduce; dropping", crash_id)
             return
         self.known_crashes.add(crash_id)

@@ -4,9 +4,12 @@ The simulator implements a GP-flavoured crypto syscall surface over two
 handle structures whose leading fields are ground-truth state variables.
 Each handler is a hand-authored branching program; walking it emits
 branch-trace packets from the secure address window, interleaved with
-normal-world noise packets.  Five bugs are seeded (BUG_FRAMES), exactly
-one of which (B4) is gated behind the key_set_and_initialized state, so
-that state feedback has something measurable to win.
+normal-world noise packets.  The dispatcher decodes each call's arguments
+to numbers before the handler runs, and a handler branches on the very
+bit it records (_Walk.bit), so each decision is written once.  Five bugs
+are seeded (BUG_FRAMES), exactly one of which (B4) is gated behind the
+key_set_and_initialized state, so that state feedback has something
+measurable to win.
 
 The probe uses two methods: reset() and execute_payload(), which returns
 each executed call's trace, return code and a snapshot of every live
@@ -36,6 +39,8 @@ from .tracecov import NOISE_RANGE, SECURE_RANGE, TracePacket
 _M64 = 0xFFFFFFFFFFFFFFFF
 _WEYL = 0x9E3779B97F4A7C15  # odd increment of the per-call noise sequence
 _NOISE_LO = NOISE_RANGE[0]
+_BUFFER = ArgKind.BUFFER
+_REF = ArgKind.RESOURCE_REF
 _new = tuple.__new__  # builds named tuples without their Python __new__
 # noise layouts: operation keyBuffer 24..39 and iv/scratch 44..63 (selfPointer
 # at 40 changes only per allocation); object 16..47
@@ -61,6 +66,8 @@ MODE_MAC = 4
 OBJ_TYPE_AES = 0xA0
 OBJ_TYPE_HMAC = 0xA1
 OBJ_TYPE_GENERIC = 0xA2
+# block 2 of TEE_AllocateTransientObject; 0 marks an unsupported type
+_OBJ_TYPE_BITS = {OBJ_TYPE_AES: 1, OBJ_TYPE_HMAC: 2, OBJ_TYPE_GENERIC: 3}
 
 KEY_TYPE_FOR_ALG = {
     ALG_AES_CBC: OBJ_TYPE_AES,
@@ -207,7 +214,9 @@ class _Walk:
     0, 2, 4, ... are each preceded by one normal-world noise packet, so
     noise is at least a third of every per-syscall trace by construction.
     Noise packets take their address and bits from a Weyl sequence (one
-    add per packet) seeded with the call's noise key.
+    add per packet) seeded with the call's noise key.  bit() records a
+    block holding one decision and returns that decision, so a handler
+    that branches on it takes the branch its trace records.
     """
 
     __slots__ = ("base", "trace", "noise", "even")
@@ -229,6 +238,10 @@ class _Walk:
         self.even = not self.even
         trace.append(_new(TracePacket, (self.base + block_id * 8, nbits, bits)))
 
+    def bit(self, block_id: int, taken):
+        self.b(block_id, 1, 1 if taken else 0)
+        return taken
+
 
 class MiniTee:
     """One simulated target instance.  Single-threaded; one per worker."""
@@ -245,6 +258,9 @@ class MiniTee:
             if t is None:
                 raise ValueError(f"template set lacks required syscall {name}")
             self._dispatch[t.ordinal] = (handler, SECURE_RANGE[0] + 0x1000 * (t.ordinal + 1), arity)
+        unknown = sorted(set(by_name) - set(_HANDLERS))
+        if unknown:
+            raise ValueError(f"template set names syscalls the target lacks: {', '.join(unknown)}")
         self.reset()
 
     # --- probe-visible surface ------------------------------------------------
@@ -274,9 +290,23 @@ class MiniTee:
             handler, base, arity = self._dispatch[call.ordinal]
             noise_key = _mix(exec_key ^ (idx * 0xD1B54A32D192ED03))
             w = _Walk(base, noise_key)
-            w.b(0, 1, 1 if len(call.args) == arity else 0)
+            args = call.args
+            w.b(0, 1, 1 if len(args) == arity else 0)
+            # Decoded payloads need not be validator-clean, so each argument
+            # reads as a number with safe defaults: a buffer as its length, a
+            # ref as the result of the earlier call it names (else 0), a
+            # missing argument as 0; an extra argument is ignored.
+            nums = []
+            for a in args[:arity]:
+                v = a.value
+                if a.kind is _BUFFER:
+                    v = len(v)
+                elif a.kind is _REF:
+                    v = results[v] if 0 <= v < len(results) else 0
+                nums.append(v)
+            nums += [0] * (arity - len(nums))
             try:
-                ret, value = handler(self, w, call, results)
+                ret, value = handler(self, w, call, *nums)
             except _Fault as f:
                 fault = FaultRecord(f.kind, f.frames, idx)
                 break
@@ -335,58 +365,40 @@ class MiniTee:
         self._next_addr += 1
         return 0x4000_0000 + 16 * self._next_addr
 
-    # Handlers run on *decoded* payloads, which need not be validator-clean,
-    # so argument access degrades to safe defaults on shape mismatches.
-    @staticmethod
-    def _num(call, results: list[int], i: int) -> int:
-        if i >= len(call.args):
-            return 0
-        a = call.args[i]
-        if a.kind is ArgKind.BUFFER:
-            return len(a.value)
-        if a.kind is ArgKind.RESOURCE_REF:
-            ref = a.value
-            return results[ref] if 0 <= ref < len(results) else 0
-        return a.value
-
     @staticmethod
     def _bytes_arg(call, i: int) -> bytes:
+        # the raw bytes of a buffer argument; anything else reads as empty
         if i >= len(call.args):
             return b""
         a = call.args[i]
-        return a.value if a.kind is ArgKind.BUFFER else b""
+        return a.value if a.kind is _BUFFER else b""
 
-    def _op_of(self, value: int) -> _Handle | None:
+    def _live(self, w, block_id: int, kind: str, value: int) -> _Handle | None:
+        """Record whether value names a live handle of this kind; return it."""
         h = self.handles.get(value)
-        return h if h is not None and h.kind == "operation" else None
-
-    def _obj_of(self, value: int) -> _Handle | None:
-        h = self.handles.get(value)
-        return h if h is not None and h.kind == "object" else None
+        return h if w.bit(block_id, h is not None and h.kind == kind and h.live) else None
 
     # --- handlers -------------------------------------------------------------
     #
     # Each handler is a small branching program; w.b(block, nbits, bits)
     # records one basic block with the branch decisions taken inside it
-    # (first decision = LSB).  Block ids are static per handler.  A handler
-    # returns (code, value); execute_payload emits block 0, the arity
-    # check, before it and blocks 14/15, the shared return path, after it.
+    # (first decision = LSB), and w.bit(block, taken) records a block with
+    # one decision and returns it, so `if not w.bit(...)` branches on the
+    # bit it records.  Block ids are static per handler.  A handler takes
+    # the call (for the raw bytes of a buffer) and its arguments as
+    # numbers, decoded by execute_payload, and returns (code, value);
+    # execute_payload emits block 0, the arity check, before it and blocks
+    # 14/15, the shared return path, after it.
 
-    def _h_allocate_operation(self, w, call, results):
-        alg = self._num(call, results, 0)
-        mode = self._num(call, results, 1)
-        max_key = self._num(call, results, 2)
+    def _h_allocate_operation(self, w, call, alg, mode, max_key):
         if alg in (ALG_AES_CBC, ALG_AES_CTR):
             cls = CLASS_CIPHER
             w.b(2, 2, 1 | (2 if alg == ALG_AES_CTR else 0))
-        elif alg in (ALG_HMAC_SHA256, ALG_HMAC_SHA1):
-            cls = CLASS_MAC
-            w.b(2, 2, 2 if alg == ALG_HMAC_SHA1 else 0)
-            w.b(3, 1, 1)
         else:
-            w.b(2, 2, 0)
-            w.b(3, 1, 0)
-            return RET_NOT_SUPPORTED, 0
+            w.b(2, 2, 2 if alg == ALG_HMAC_SHA1 else 0)
+            if not w.bit(3, alg in (ALG_HMAC_SHA256, ALG_HMAC_SHA1)):
+                return RET_NOT_SUPPORTED, 0
+            cls = CLASS_MAC
         mode_ok = (cls == CLASS_CIPHER and mode in (MODE_ENCRYPT, MODE_DECRYPT)) or (
             cls == CLASS_MAC and mode == MODE_MAC
         )
@@ -396,14 +408,10 @@ class MiniTee:
         w.b(5, 3, _mag3(max_key))
         # size-class rounding of the context allocation
         w.b(10, 5, _mag3(max_key) | ((mode & 3) << 3))
-        if max_key > MAX_KEY_BITS:
-            w.b(6, 1, 0)
+        if not w.bit(6, max_key <= MAX_KEY_BITS):
             return RET_NO_MEMORY, 0
-        w.b(6, 1, 1)
-        if self._live_count["operation"] >= MAX_LIVE_HANDLES:
-            w.b(9, 1, 0)
+        if not w.bit(9, self._live_count["operation"] < MAX_LIVE_HANDLES):
             return RET_NO_MEMORY, 0
-        w.b(9, 1, 1)
         h = self._alloc_handle("operation", OP_HANDLE_SIZE)
         h.max_key_bits = max_key
         h.set32(0, alg)
@@ -415,52 +423,40 @@ class MiniTee:
         w.b(7, 2, 1 | (2 if cls == CLASS_MAC else 0))
         return RET_OK, h.hid
 
-    def _h_free_operation(self, w, call, results):
-        v = self._num(call, results, 0)
-        h = self._op_of(v)
-        w.b(2, 1, 0 if v == 0 else 1)
-        if v == 0 or h is None:
+    def _h_free_operation(self, w, call, v):
+        if not w.bit(2, v != 0):
             return RET_BAD_HANDLE, 0
-        w.b(3, 1, 1 if h.live else 0)
-        if not h.live:
+        h = self.handles.get(v)
+        if h is None or h.kind != "operation" or not w.bit(3, h.live):
             return RET_BAD_HANDLE, 0
         w.b(4, 2, h.get32(12) & 3)
         w.b(5, 1, 1 if h.get32(16) == OS_ACTIVE else 0)
         self._free_handle(h)
         return RET_OK, 0
 
-    def _h_reset_operation(self, w, call, results):
-        v = self._num(call, results, 0)
-        h = self._op_of(v)
-        w.b(2, 1, 0 if v == 0 or h is None else 1)
-        if v == 0 or h is None or not h.live:
+    def _h_reset_operation(self, w, call, v):
+        h = self.handles.get(v)
+        # block 2 records that the handle exists; liveness is tested unrecorded
+        if not w.bit(2, h is not None and h.kind == "operation") or not h.live:
             return RET_BAD_HANDLE, 0
         hs = h.get32(12)
         w.b(3, 2, hs & 3)
-        if hs == HS_ALLOCATED:
-            w.b(4, 1, 0)
+        if not w.bit(4, hs != HS_ALLOCATED):
             return RET_BAD_STATE, 0
-        w.b(4, 1, 1)
         h.set32(12, HS_KEY_SET)
         h.set32(16, OS_INITIAL)
         return RET_OK, 0
 
-    def _h_set_operation_key(self, w, call, results):
-        v = self._num(call, results, 0)
-        kv = self._num(call, results, 1)
-        h = self._op_of(v)
-        w.b(2, 1, 0 if v == 0 or h is None or not h.live else 1)
-        if v == 0 or h is None or not h.live:
+    def _h_set_operation_key(self, w, call, v, kv):
+        h = self._live(w, 2, "operation", v)
+        if h is None:
             return RET_BAD_HANDLE, 0
-        obj = self._obj_of(kv)
-        w.b(3, 1, 0 if kv == 0 or obj is None or not obj.live else 1)
-        if kv == 0 or obj is None or not obj.live:
+        obj = self._live(w, 3, "object", kv)
+        if obj is None:
             return RET_BAD_HANDLE, 0
-        w.b(4, 1, 0 if h.get32(12) == HS_KEY_SET_INITIALIZED else 1)
-        if h.get32(12) == HS_KEY_SET_INITIALIZED:
+        if not w.bit(4, h.get32(12) != HS_KEY_SET_INITIALIZED):
             return RET_BAD_STATE, 0
-        w.b(5, 1, 1 if obj.get32(8) & 1 else 0)
-        if not obj.get32(8) & 1:  # not populated: no key material committed
+        if not w.bit(5, obj.get32(8) & 1):  # not populated: no key material committed
             return RET_BAD_STATE, 0
         otype = obj.get32(0)
         cls = h.get32(8)
@@ -472,121 +468,90 @@ class MiniTee:
             return RET_BAD_PARAM, 0
         key_bits = obj.key_len * 8
         w.b(7, 3, _mag3(key_bits))
-        if obj.key_len not in VALID_KEY_LENS or key_bits > h.max_key_bits:
-            w.b(8, 1, 0)
+        if not w.bit(8, obj.key_len in VALID_KEY_LENS and key_bits <= h.max_key_bits):
             return RET_BAD_PARAM, 0
-        w.b(8, 1, 1)
         h.set32(12, HS_KEY_SET)
         h.set32(16, OS_INITIAL)
         h.set32(20, key_bits)
         return RET_OK, 0
 
-    def _h_cipher_init(self, w, call, results):
-        v = self._num(call, results, 0)
-        ivv = self._num(call, results, 1)
-        w.b(2, 1, 0 if v == 0 else 1)
-        if v == 0:
+    def _h_cipher_init(self, w, call, v, ivv):
+        if not w.bit(2, v != 0):
             return RET_BAD_PARAM, 0
-        h = self._op_of(v)
-        if h is None:
-            w.b(3, 1, 0)
+        h = self.handles.get(v)
+        if not w.bit(3, h is not None and h.kind == "operation"):
             return RET_BAD_HANDLE, 0
-        w.b(3, 1, 1)
         if not h.live:
             # missing liveness validation: the handler walks the freed
             # handle's stale self-pointer (seeded bug B5)
             raise _Fault("B5", FAULT_UNTRUSTED_DEREF)
-        w.b(4, 1, 1 if h.get32(8) == CLASS_CIPHER else 0)
-        if h.get32(8) != CLASS_CIPHER:
+        if not w.bit(4, h.get32(8) == CLASS_CIPHER):
             return RET_NOT_SUPPORTED, 0
-        w.b(5, 1, 1 if h.get32(12) in (HS_KEY_SET, HS_KEY_SET_INITIALIZED) else 0)
-        if h.get32(12) not in (HS_KEY_SET, HS_KEY_SET_INITIALIZED):
+        if not w.bit(5, h.get32(12) in (HS_KEY_SET, HS_KEY_SET_INITIALIZED)):
             return RET_BAD_STATE, 0
         iv_len = self.ivs.get(ivv)
-        w.b(6, 1, 0 if iv_len is None else 1)
-        if iv_len is None:
+        if not w.bit(6, iv_len is not None):
             return RET_BAD_PARAM, 0
         w.b(7, 3, _mag3(iv_len))
         w.b(9, 5, _mag3(iv_len) | ((h.get32(12) & 3) << 3))
-        if iv_len != 16:
-            w.b(8, 1, 0)
+        if not w.bit(8, iv_len == 16):
             return RET_BAD_PARAM, 0
-        w.b(8, 1, 1)
         h.set32(12, HS_KEY_SET_INITIALIZED)
         h.set32(16, OS_INITIAL)
         return RET_OK, 0
 
-    def _check_update_target(self, w, call, results, want_class):
+    def _check_update_target(self, w, v, want_class):
         """Shared null/dead/class/state prologue for update and final calls.
 
         Returns (handle, None) when the deep region is reached, else
         (None, error return pair).
         """
-        v = self._num(call, results, 0)
-        h = self._op_of(v)
-        w.b(2, 1, 0 if v == 0 or h is None or not h.live else 1)
-        if v == 0 or h is None or not h.live:
+        h = self._live(w, 2, "operation", v)
+        if h is None:
             return None, (RET_BAD_HANDLE, 0)
-        w.b(3, 1, 1 if h.get32(8) == want_class else 0)
-        if h.get32(8) != want_class:
+        if not w.bit(3, h.get32(8) == want_class):
             return None, (RET_NOT_SUPPORTED, 0)
-        w.b(4, 1, 1 if h.get32(12) == HS_KEY_SET_INITIALIZED else 0)
-        if h.get32(12) != HS_KEY_SET_INITIALIZED:
+        if not w.bit(4, h.get32(12) == HS_KEY_SET_INITIALIZED):
             return None, (RET_BAD_STATE, 0)
         return h, None
 
-    def _h_cipher_update(self, w, call, results):
-        h, err = self._check_update_target(w, call, results, CLASS_CIPHER)
+    def _h_cipher_update(self, w, call, v, src, src_len):
+        h, err = self._check_update_target(w, v, CLASS_CIPHER)
         if h is None:
             return err
-        src = self._num(call, results, 1)
-        src_len = self._num(call, results, 2)
         chunk_len = self.chunks.get(src)
-        w.b(5, 1, 0 if chunk_len is None else 1)
-        if chunk_len is None:
+        if not w.bit(5, chunk_len is not None):
             return RET_BAD_PARAM, 0
         w.b(6, 3, _mag3(src_len))
-        if src_len > chunk_len:
-            w.b(7, 1, 0)
+        if not w.bit(7, src_len <= chunk_len):
             return RET_SHORT_BUFFER, 0
-        w.b(7, 1, 1)
         w.b(8, 2, (1 if h.get32(16) == OS_INITIAL else 0) | (2 if src_len == 0 else 0))
         h.set32(16, OS_ACTIVE)
         return RET_OK, 0
 
-    def _h_cipher_do_final(self, w, call, results):
-        h, err = self._check_update_target(w, call, results, CLASS_CIPHER)
+    def _h_cipher_do_final(self, w, call, v, src, dst_len):
+        h, err = self._check_update_target(w, v, CLASS_CIPHER)
         if h is None:
             return err
-        src = self._num(call, results, 1)
-        dst_len = self._num(call, results, 2)
         chunk_len = self.chunks.get(src)
-        w.b(5, 1, 0 if chunk_len is None else 1)
-        if chunk_len is None:
+        if not w.bit(5, chunk_len is not None):
             return RET_BAD_PARAM, 0
         w.b(6, 3, _mag3(dst_len))
-        if dst_len > DATA_LIMIT:
-            w.b(7, 1, 0)
+        if not w.bit(7, dst_len <= DATA_LIMIT):
             return RET_SHORT_BUFFER, 0
-        w.b(7, 1, 1)
         w.b(8, 1, 1 if h.get32(16) == OS_ACTIVE else 0)
         w.b(9, 5, _mag3(dst_len) | ((chunk_len & 3) << 3))
         h.set32(12, HS_KEY_SET)
         h.set32(16, OS_INITIAL)
         return RET_OK, 0
 
-    def _h_mac_init(self, w, call, results):
-        v = self._num(call, results, 0)
-        ivv = self._num(call, results, 1)
-        h = self._op_of(v)
-        w.b(2, 1, 0 if v == 0 or h is None or not h.live else 1)
-        if v == 0 or h is None or not h.live:
+    def _h_mac_init(self, w, call, v, ivv):
+        h = self._live(w, 2, "operation", v)
+        if h is None:
             return RET_BAD_HANDLE, 0
-        w.b(3, 1, 1 if h.get32(8) == CLASS_MAC else 0)
-        if h.get32(8) != CLASS_MAC:
+        if not w.bit(3, h.get32(8) == CLASS_MAC):
             return RET_NOT_SUPPORTED, 0
-        w.b(4, 1, 1 if h.get32(12) in (HS_KEY_SET, HS_KEY_SET_INITIALIZED) else 0)
-        if h.get32(12) not in (HS_KEY_SET, HS_KEY_SET_INITIALIZED):
+        if not w.bit(4, h.get32(12) in (HS_KEY_SET, HS_KEY_SET_INITIALIZED)):
             return RET_BAD_STATE, 0
         iv_len = self.ivs.get(ivv)
         # MAC configuration takes at most a small salt
@@ -598,103 +563,73 @@ class MiniTee:
         h.set32(16, OS_INITIAL)
         return RET_OK, 0
 
-    def _h_mac_update(self, w, call, results):
+    def _h_mac_update(self, w, call, v, chunk, chunk_size):
         # the absorb path is deliberately branch-poor: progress in here is
         # visible as state, barely as coverage
-        h, err = self._check_update_target(w, call, results, CLASS_MAC)
+        h, err = self._check_update_target(w, v, CLASS_MAC)
         if h is None:
             return err
-        chunk = self._num(call, results, 1)
-        chunk_size = self._num(call, results, 2)
         chunk_len = self.chunks.get(chunk)
-        w.b(5, 1, 0 if chunk_len is None else 1)
-        if chunk_len is None:
+        if not w.bit(5, chunk_len is not None):
             return RET_BAD_PARAM, 0
         if chunk_size > CHUNK_OVERFLOW_SIZE:
             # the absorb loop trusts chunkSize with no bound check (seeded
             # bug B4) -- reachable only behind the class and
             # key_set_and_initialized gates
             raise _Fault("B4", FAULT_MEM_OVERWRITE)
-        if chunk_size > chunk_len:
-            w.b(6, 1, 0)
+        if not w.bit(6, chunk_size <= chunk_len):
             return RET_SHORT_BUFFER, 0
-        w.b(6, 1, 1)
         h.set32(16, OS_ACTIVE)
         return RET_OK, 0
 
-    def _h_mac_compute_final(self, w, call, results):
-        h, err = self._check_update_target(w, call, results, CLASS_MAC)
+    def _h_mac_compute_final(self, w, call, v, msg, msg_len):
+        h, err = self._check_update_target(w, v, CLASS_MAC)
         if h is None:
             return err
-        msg = self._num(call, results, 1)
-        msg_len = self._num(call, results, 2)
         chunk_len = self.chunks.get(msg)
-        w.b(5, 1, 0 if chunk_len is None else 1)
-        if chunk_len is None:
+        if not w.bit(5, chunk_len is not None):
             return RET_BAD_PARAM, 0
-        if msg_len > DATA_LIMIT:
-            w.b(6, 1, 0)
+        if not w.bit(6, msg_len <= DATA_LIMIT):
             return RET_SHORT_BUFFER, 0
-        w.b(6, 1, 1)
         h.set32(12, HS_KEY_SET)
         h.set32(16, OS_INITIAL)
         return RET_OK, 0
 
-    def _h_mac_compare_final(self, w, call, results):
-        v = self._num(call, results, 0)
+    def _h_mac_compare_final(self, w, call, v, msg, _mac_len):
         # context load dereferences the operation before any null check
         # (seeded bug B3)
         if v == 0:
             raise _Fault("B3", FAULT_NULL_DEREF)
         w.b(2, 1, 1)
-        h = self._op_of(v)
-        w.b(3, 1, 0 if h is None or not h.live else 1)
-        if h is None or not h.live:
+        h = self._live(w, 3, "operation", v)
+        if h is None:
             return RET_BAD_HANDLE, 0
-        w.b(4, 1, 1 if h.get32(8) == CLASS_MAC else 0)
-        if h.get32(8) != CLASS_MAC:
+        if not w.bit(4, h.get32(8) == CLASS_MAC):
             return RET_NOT_SUPPORTED, 0
-        w.b(5, 1, 1 if h.get32(12) == HS_KEY_SET_INITIALIZED else 0)
-        if h.get32(12) != HS_KEY_SET_INITIALIZED:
+        if not w.bit(5, h.get32(12) == HS_KEY_SET_INITIALIZED):
             return RET_BAD_STATE, 0
-        msg = self._num(call, results, 1)
         chunk_len = self.chunks.get(msg)
-        w.b(6, 1, 0 if chunk_len is None else 1)
-        if chunk_len is None:
+        if not w.bit(6, chunk_len is not None):
             return RET_BAD_PARAM, 0
         mac = self._bytes_arg(call, 2)
         # keyed permutation stands in for the real MAC
         expect = _mix(self._campaign_key ^ h.get32(20) ^ (chunk_len * 0x9E37))
-        match = len(mac) == 8 and mac == (expect & _M64).to_bytes(8, "little")
-        w.b(7, 1, 1 if match else 0)
+        match = w.bit(7, len(mac) == 8 and mac == (expect & _M64).to_bytes(8, "little"))
         h.set32(12, HS_KEY_SET)
         h.set32(16, OS_INITIAL)
         return (RET_OK if match else RET_MAC_INVALID), 0
 
-    def _h_allocate_transient_object(self, w, call, results):
-        otype = self._num(call, results, 0)
-        max_size = self._num(call, results, 1)
-        if otype == OBJ_TYPE_AES:
-            w.b(2, 2, 1)
-        elif otype == OBJ_TYPE_HMAC:
-            w.b(2, 2, 2)
-        elif otype == OBJ_TYPE_GENERIC:
-            w.b(2, 2, 3)
-        else:
-            w.b(2, 2, 0)
-            w.b(3, 1, 0)
+    def _h_allocate_transient_object(self, w, call, otype, max_size):
+        type_bits = _OBJ_TYPE_BITS.get(otype, 0)
+        w.b(2, 2, type_bits)
+        if not w.bit(3, type_bits):
             return RET_NOT_SUPPORTED, 0
-        w.b(3, 1, 1)
         w.b(4, 3, _mag3(max_size))
         w.b(7, 5, _mag3(max_size) | ((otype & 3) << 3))
-        if max_size > MAX_OBJ_SIZE:
-            w.b(5, 1, 0)
+        if not w.bit(5, max_size <= MAX_OBJ_SIZE):
             return RET_NO_MEMORY, 0
-        w.b(5, 1, 1)
-        if self._live_count["object"] >= MAX_LIVE_HANDLES:
-            w.b(6, 1, 0)
+        if not w.bit(6, self._live_count["object"] < MAX_LIVE_HANDLES):
             return RET_NO_MEMORY, 0
-        w.b(6, 1, 1)
         h = self._alloc_handle("object", OBJ_HANDLE_SIZE)
         h.set32(0, otype)
         h.set32(4, 0xFF)  # default usage: everything allowed
@@ -702,21 +637,17 @@ class MiniTee:
         h.set32(12, 0)
         return RET_OK, h.hid
 
-    def _h_free_transient_object(self, w, call, results):
-        v = self._num(call, results, 0)
-        h = self._obj_of(v)
-        w.b(2, 1, 0 if v == 0 or h is None or not h.live else 1)
-        if v == 0 or h is None or not h.live:
+    def _h_free_transient_object(self, w, call, v):
+        h = self._live(w, 2, "object", v)
+        if h is None:
             return RET_BAD_HANDLE, 0
         w.b(3, 1, 1 if h.get32(8) & 1 else 0)
         self._free_handle(h)
         return RET_OK, 0
 
-    def _h_reset_transient_object(self, w, call, results):
-        v = self._num(call, results, 0)
-        h = self._obj_of(v)
-        w.b(2, 1, 0 if v == 0 or h is None or not h.live else 1)
-        if v == 0 or h is None or not h.live:
+    def _h_reset_transient_object(self, w, call, v):
+        h = self._live(w, 2, "object", v)
+        if h is None:
             return RET_BAD_HANDLE, 0
         w.b(3, 1, 1 if h.get32(8) & 1 else 0)
         h.set32(4, 0xFF)
@@ -726,21 +657,14 @@ class MiniTee:
         w.b(4, 1, 1)
         return RET_OK, 0
 
-    def _h_populate_transient_object(self, w, call, results):
-        v = self._num(call, results, 0)
-        av = self._num(call, results, 1)
-        count = self._num(call, results, 2)
-        h = self._obj_of(v)
-        w.b(2, 1, 0 if v == 0 else 1)
-        if v == 0:
+    def _h_populate_transient_object(self, w, call, v, av, count):
+        if not w.bit(2, v != 0):
             return RET_BAD_PARAM, 0
-        if h is None or not h.live:
-            w.b(3, 1, 0)
+        h = self._live(w, 3, "object", v)
+        if h is None:
             return RET_BAD_HANDLE, 0
-        w.b(3, 1, 1)
         key_len = self.attrs.get(av)
-        w.b(4, 1, 0 if key_len is None else 1)
-        if key_len is None:
+        if not w.bit(4, key_len is not None):
             return RET_BAD_PARAM, 0
         w.b(5, 3, _mag3(count))
         if count > ATTR_OVERFLOW_COUNT:
@@ -748,12 +672,9 @@ class MiniTee:
             # ATTR_OVERFLOW_COUNT entries before any further validation
             # (seeded bug B2)
             raise _Fault("B2", FAULT_MEM_OVERWRITE)
-        if count == 0:
-            w.b(6, 1, 0)
+        if not w.bit(6, count != 0):
             return RET_BAD_PARAM, 0
-        w.b(6, 1, 1)
-        w.b(7, 1, 0 if h.get32(8) & 1 else 1)
-        if h.get32(8) & 1:  # already populated
+        if not w.bit(7, not h.get32(8) & 1):  # not yet populated
             return RET_BAD_STATE, 0
         h.key_len = key_len
         h.set32(8, 1 | (2 if key_len > 16 else 0))
@@ -764,12 +685,9 @@ class MiniTee:
         w.b(9, 5, _mag3(count) | ((key_len & 3) << 3))
         return RET_OK, 0
 
-    def _h_restrict_object_usage(self, w, call, results):
-        v = self._num(call, results, 0)
-        usage = self._num(call, results, 1)
-        h = self._obj_of(v)
-        w.b(2, 1, 0 if v == 0 or h is None or not h.live else 1)
-        if v == 0 or h is None or not h.live:
+    def _h_restrict_object_usage(self, w, call, v, usage):
+        h = self._live(w, 2, "object", v)
+        if h is None:
             return RET_BAD_HANDLE, 0
         # usage bits above the low two of the 0x30 family are reserved
         mask = 0x30 | (usage & 0x3)
@@ -779,9 +697,7 @@ class MiniTee:
         h.set32(4, h.get32(4) & mask)
         return RET_OK, 0
 
-    def _h_malloc(self, w, call, results):
-        size = self._num(call, results, 0)
-        hint = self._num(call, results, 1)
+    def _h_malloc(self, w, call, size, hint):
         w.b(2, 3, _mag3(size))
         if size > MALLOC_LIMIT:
             # the pool reserves without any ceiling (seeded bug B1)
@@ -795,20 +711,17 @@ class MiniTee:
         w.b(5, 1, 1)
         return RET_OK, addr
 
-    def _h_free(self, w, call, results):
-        ptr = self._num(call, results, 0)
-        w.b(2, 1, 0 if ptr == 0 else 1)
-        if ptr == 0:
+    def _h_free(self, w, call, ptr):
+        if not w.bit(2, ptr != 0):
             return RET_OK, 0
         alive = self.mems.get(ptr)
         w.b(3, 2, (1 if alive is not None else 0) | (2 if alive else 0))
-        if alive is None or not alive:
+        if not alive:
             return RET_BAD_PARAM, 0
         self.mems[ptr] = False
         return RET_OK, 0
 
-    def _h_init_ref_attribute(self, w, call, results):
-        attr_id = self._num(call, results, 0)
+    def _h_init_ref_attribute(self, w, call, attr_id, _data_len):
         data = self._bytes_arg(call, 1)
         w.b(2, 1, 1 if attr_id == 0xC0 else 0)
         w.b(3, 3, _mag3(len(data)))
@@ -818,10 +731,7 @@ class MiniTee:
         w.b(4, 1, 1)
         return RET_OK, addr
 
-    def _h_init_value_attribute(self, w, call, results):
-        attr_id = self._num(call, results, 0)
-        a = self._num(call, results, 1)
-        b = self._num(call, results, 2)
+    def _h_init_value_attribute(self, w, call, attr_id, a, b):
         w.b(2, 1, 1 if attr_id == 0xD0 else 0)
         w.b(3, 3, _mag3(a))
         w.b(4, 1, b & 1)
@@ -830,9 +740,7 @@ class MiniTee:
         self.attrs[addr] = a & 63
         return RET_OK, addr
 
-    def _make_buffer(self, lengths: dict[int, int], w, call, results):
-        length = self._num(call, results, 0)
-        fill = self._num(call, results, 1)
+    def _make_buffer(self, lengths: dict[int, int], w, length, fill):
         w.b(2, 3, _mag3(length))
         w.b(3, 1, fill & 1)
         w.b(4, 5, _mag3(length) | ((fill & 3) << 3))
@@ -840,12 +748,11 @@ class MiniTee:
         lengths[addr] = min(length, 0xFFFF)
         return RET_OK, addr
 
-    def _h_make_iv(self, w, call, results):
-        return self._make_buffer(self.ivs, w, call, results)
+    def _h_make_iv(self, w, call, length, fill):
+        return self._make_buffer(self.ivs, w, length, fill)
 
-    def _h_make_chunk(self, w, call, results):
-        return self._make_buffer(self.chunks, w, call, results)
-
+    def _h_make_chunk(self, w, call, length, fill):
+        return self._make_buffer(self.chunks, w, length, fill)
 
 # name -> (handler, arity of its template)
 _HANDLERS = {

@@ -144,3 +144,30 @@ def test_stt_export_without_regions_is_a_config_error(tmp_path, capsys, empty_fi
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "--regions" in err
     assert not out.exists()
+
+
+def extra_syscall_template_file(tmp_path) -> Path:
+    """The bundled templates plus one syscall the target does not implement."""
+    path = tmp_path / "extra.tmpl"
+    bundled = Path(bundled_template_path()).read_text()
+    path.write_text(bundled + "TEE_Extra(x:s32[0..16])\n")
+    return path
+
+
+def test_replay_of_a_syscall_the_target_lacks_is_a_config_error(tmp_path, capsys):
+    extra = extra_syscall_template_file(tmp_path)
+    payload = tmp_path / "payload.bin"
+    payload.write_bytes(serialize_payload(parse_program("TEE_Extra(3)\n", load_templates(extra))))
+    assert main(["replay", str(payload), "--templates", str(extra)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and "TEE_Extra" in captured.err
+    assert captured.out == ""
+
+
+def test_fuzz_with_a_syscall_the_target_lacks_is_a_config_error(tmp_path, capsys):
+    extra = extra_syscall_template_file(tmp_path)
+    config = tmp_path / "campaign.cfg"
+    config.write_text(f"budget = 200\nmode = coverage_only\ntemplates_file = {extra}\n")
+    assert main(["fuzz", str(config), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "TEE_Extra" in err

@@ -5,8 +5,8 @@ from random import Random
 import pytest
 
 from teefuzz.config import CampaignConfig
-from teefuzz.fuzzing import FuzzCampaign, SeedNode, dedup, preserve
-from teefuzz.minitee import GROUND_TRUTH_REGIONS, FaultRecord
+from teefuzz.fuzzing import FuzzCampaign, SeedNode, crash_id_of, preserve
+from teefuzz.minitee import GROUND_TRUTH_REGIONS, ExecutionResult, FaultRecord
 from teefuzz.probe import SimProbe
 from teefuzz.statevars import StateVarRegion
 from teefuzz.stt import build_stt
@@ -220,19 +220,39 @@ def test_preserve_of_a_run_with_nothing_new_adds_no_node(seed_corpus):
     assert global_cov == {1, 2} and all(cov <= global_cov for cov, _ in per_call)
 
 
-def test_dedup_keys_on_the_top_three_frames():
+class FaultingProbe:
+    """Probe whose every submission ends in the fault it is set to."""
+
+    def __init__(self):
+        self.fault = None
+
+    def submit(self, payload, on_syscall=None):
+        return ExecutionResult([], self.fault)
+
+
+def test_dedup_keys_on_the_top_three_frames(templates, seed_corpus):
     fault = FaultRecord("hard_fault", ("a", "b", "c", "d"), 0)
     deeper = FaultRecord("null_deref", ("a", "b", "c", "e", "f"), 3)
     other = FaultRecord("hard_fault", ("a", "b", "x", "d"), 0)
-    assert dedup(fault, set()) == (("a", "b", "c"), True)
-    assert dedup(deeper, {("a", "b", "c")}) == (("a", "b", "c"), False)
-    assert dedup(other, {("a", "b", "c")}) == (("a", "b", "x"), True)
-    assert dedup(FaultRecord("hard_fault", ("a",), 0), set()) == (("a",), True)
+    assert crash_id_of(fault) == ("a", "b", "c")
+    assert crash_id_of(deeper) == ("a", "b", "c")
+    assert crash_id_of(other) == ("a", "b", "x")
+    assert crash_id_of(FaultRecord("hard_fault", ("a",), 0)) == ("a",)
+    # a fault whose crash id is known is neither replayed nor recorded again
+    probe = FaultingProbe()
+    config = CampaignConfig(budget=1, campaign_seed=1)
+    campaign = FuzzCampaign(config, probe, templates, seed_corpus, REGIONS)
+    for f in (fault, deeper, other):
+        probe.fault = f
+        campaign._handle_fault(seed_corpus[0], b"payload", f)
+    assert campaign.report.unique_crashes == [("a", "b", "c"), ("a", "b", "x")]
+    assert campaign.known_crashes == {("a", "b", "c"), ("a", "b", "x")}
+    assert campaign.report.crash_replays == 2
 
 
 def test_dedup_rejects_a_fault_without_frames():
     with pytest.raises(ValueError, match="no frames"):
-        dedup(FaultRecord("hard_fault", (), 0), set())
+        crash_id_of(FaultRecord("hard_fault", (), 0))
 
 
 class FlakyCrashProbe:

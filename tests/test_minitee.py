@@ -16,6 +16,7 @@ from teefuzz.minitee import (
     MiniTee,
 )
 from teefuzz.payload import serialize_payload
+from teefuzz.templates import ParamKind
 from teefuzz.testcase import ArgValue, Syscall, TestCase, generate_testcase, mutate_testcase
 from teefuzz.tracecov import NOISE_RANGE, SECURE_RANGE
 
@@ -281,6 +282,85 @@ def test_b4_gating_exhaustive_over_short_sequences(templates):
                     if snap.kind == "operation":
                         assert struct.unpack_from("<I", snap.data, 12)[0] != 3
     assert checked > 900
+
+
+# --- argument decoding --------------------------------------------------------
+#
+# Decoded payloads need not be validator-clean.  Each oracle below pairs a
+# call whose arguments break its template with the call that the argument
+# contract says reads the same; both must walk the same secure blocks
+# after block 0 (the arity check) and return the same codes.
+
+ZERO = ArgValue.scalar32(0)
+
+
+def with_args(tc, i, args):
+    call = tc.calls[i]
+    return TestCase(tc.calls[:i] + (Syscall(call.ordinal, tuple(args)),) + tc.calls[i + 1 :])
+
+
+def replace_arg(tc, i, j, arg):
+    args = list(tc.calls[i].args)
+    args[j] = arg
+    return with_args(tc, i, args)
+
+
+def missing_last_arg(tc, i, templates, rng):
+    args = tc.calls[i].args
+    yield with_args(tc, i, args[:-1]), with_args(tc, i, args[:-1] + (ZERO,))
+
+
+def extra_arg(tc, i, templates, rng):
+    args = tc.calls[i].args
+    yield with_args(tc, i, args + (ArgValue.scalar32(rng.getrandbits(32)),)), tc
+
+
+def ref_to_no_earlier_call(tc, i, templates, rng):
+    j = rng.randrange(len(tc.calls[i].args))
+    for ref in (i, i + 1, len(tc.calls), 0xFFFF):
+        yield replace_arg(tc, i, j, ArgValue.resource_ref(ref)), replace_arg(tc, i, j, ZERO)
+
+
+def buffer_in_scalar_slot(tc, i, templates, rng):
+    params = templates.by_ordinal[tc.calls[i].ordinal].params
+    for j, param in enumerate(params):
+        if param.kind is not ParamKind.BUFFER:
+            n = rng.choice((0, 1, 16, 0xA0, rng.randrange(0x1_0000)))
+            buf = ArgValue.buffer(bytes(n))
+            yield replace_arg(tc, i, j, buf), replace_arg(tc, i, j, ArgValue.scalar32(n))
+
+
+def secure_feedback(sim, tc):
+    """Per call the secure blocks after block 0 and the return code; then
+    the fault."""
+    lo, hi = SECURE_RANGE
+    sim.reset()
+    result = sim.execute_payload(serialize_payload(tc))
+    calls = [
+        ([p for p in sr.trace if lo <= p.base_address <= hi][1:], sr.return_code)
+        for sr in result.per_syscall
+    ]
+    return calls, result.fault
+
+
+@pytest.mark.parametrize(
+    "variants", [missing_last_arg, extra_arg, ref_to_no_earlier_call, buffer_in_scalar_slot]
+)
+def test_malformed_arguments_read_as_the_contract_says(templates, seed_corpus, variants):
+    rng = Random(5)
+    sim = MiniTee(1, templates)
+    cases = list(seed_corpus) + [generate_testcase(templates, rng, 16) for _ in range(150)]
+    handlers, reached_ok = set(), 0
+    for tc in cases:
+        for i in rng.sample(range(len(tc.calls)), min(3, len(tc.calls))):
+            for variant, reference in variants(tc, i, templates, rng):
+                expected = secure_feedback(sim, reference)
+                assert secure_feedback(sim, variant) == expected
+                if len(expected[0]) > i:
+                    handlers.add(tc.calls[i].ordinal)
+                    reached_ok += expected[0][i][1] == minitee.RET_OK
+    assert len(handlers) == len(minitee._HANDLERS)
+    assert reached_ok > 100
 
 
 # --- structural invariants ----------------------------------------------------------
