@@ -37,6 +37,8 @@ class CampaignConfig:
                 f"volatility_metric must be distinct|occurrences, got "
                 f"'{self.volatility_metric}'"
             )
+        if self.volatility_threshold < 0:
+            raise ConfigError("volatility_threshold must be >= 0")
         if not 0.0 <= self.p_gen <= 1.0:
             raise ConfigError("p_gen must be in [0, 1]")
         if self.budget < 0:

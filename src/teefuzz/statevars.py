@@ -114,39 +114,48 @@ def filter_volatile(
     as churn is the `volatility_metric` switch: "distinct" counts distinct
     observed words (the default reading), "occurrences" counts how many
     times the word changed between consecutive snapshots of the kind.
+    A kind's offsets span its first snapshot.
+
+    Churn only grows as entries are read, so an offset is dropped, and
+    never read again, the moment it passes `threshold`: the result is the
+    one counting the whole log would give, and each offset holds at most
+    `threshold + 1` words.
     """
     if not logbook.entries:
         raise ValueError("empty snapshot log")
     if metric not in ("distinct", "occurrences"):
         raise ValueError(f"unknown volatility metric '{metric}'")
-    sizes: dict[str, int] = {}
-    for e in logbook.entries:
-        sizes.setdefault(e.handle_kind, len(e.data))
-    counters: dict[tuple[str, int], set[bytes] | int] = {}
-    last_seen: dict[tuple[str, int], bytes] = {}
+    if threshold < 0:
+        raise ValueError(f"volatility threshold must be >= 0, got {threshold}")
+    distinct = metric == "distinct"
+    # per kind, each offset still at or under the threshold with its churn
+    # so far: the set of words seen, or [last word, changes]
+    live: dict[str, dict[int, set[bytes] | list]] = {}
     for e in logbook.entries:
         data = e.data
-        for off in range(0, sizes[e.handle_kind], 4):
-            key = (e.handle_kind, off)
-            word = data[off : off + 4]
-            if metric == "distinct":
-                bucket = counters.setdefault(key, set())
-                bucket.add(word)
-            else:
-                prev = last_seen.get(key)
-                if prev is not None and prev != word:
-                    counters[key] = counters.get(key, 0) + 1
-                last_seen[key] = word
-    candidates: dict[str, list[int]] = {}
-    for kind, size in sorted(sizes.items()):
-        kept = []
-        for off in range(0, size, 4):
-            c = counters.get((kind, off))
-            count = len(c) if isinstance(c, set) else (c or 0)
-            if count <= threshold:
-                kept.append(off)
-        candidates[kind] = kept
-    return candidates
+        offs = live.get(e.handle_kind)
+        if offs is None:
+            offs = live[e.handle_kind] = {
+                off: set() if distinct else [data[off : off + 4], 0]
+                for off in range(0, len(data), 4)
+            }
+        gone = []
+        if distinct:
+            for off, words in offs.items():
+                words.add(data[off : off + 4])
+                if len(words) > threshold:
+                    gone.append(off)
+        else:
+            for off, seen in offs.items():
+                word = data[off : off + 4]
+                if word != seen[0]:
+                    seen[0] = word
+                    seen[1] += 1
+                    if seen[1] > threshold:
+                        gone.append(off)
+        for off in gone:
+            del offs[off]
+    return {kind: list(offs) for kind, offs in sorted(live.items())}
 
 
 # --- active inference --------------------------------------------------------------

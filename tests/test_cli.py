@@ -1,11 +1,14 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from teefuzz.cli import EXIT_CONFIG, EXIT_ERROR, main
+from teefuzz.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_OK, main
 from teefuzz.corpus_io import parse_program
+from teefuzz.minitee import GROUND_TRUTH_REGIONS
 from teefuzz.payload import serialize_payload
+from teefuzz.statevars import load_regions
 from teefuzz.templates import bundled_template_path, load_templates
 
 PROGRAM = """r0 = TEE_AllocateOperation(0x10, 0, 1024)
@@ -171,3 +174,35 @@ def test_fuzz_with_a_syscall_the_target_lacks_is_a_config_error(tmp_path, capsys
     assert main(["fuzz", str(config), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "TEE_Extra" in err
+
+
+def test_infer_state_writes_the_regions_it_reports(tmp_path, capsys):
+    regions = tmp_path / "regions.txt"
+    config = tmp_path / "infer.cfg"
+    config.write_text(f"infer_budget = 300\nregions_file = {regions}\n")
+    assert main(["infer-state", str(config)]) == EXIT_OK
+    out = capsys.readouterr().out
+    m = re.fullmatch(
+        r"inferred (\d+) regions -> (\S+) \(vs simulator ground truth: "
+        r"precision=(\d\.\d\d) recall=(\d\.\d\d)\)\n",
+        out,
+    )
+    assert m, out
+    loaded = {(r.handle_kind, r.offset) for r in load_regions(regions)}
+    truth = set(GROUND_TRUTH_REGIONS)
+    assert (len(loaded), m[2]) == (int(m[1]), str(regions))
+    assert loaded and m[3] == f"{len(loaded & truth) / len(loaded):.2f}"
+    assert m[4] == f"{len(loaded & truth) / len(truth):.2f}"
+
+
+@pytest.mark.parametrize("metric", ["distinct", "occurrences"])
+def test_infer_state_with_a_negative_threshold_is_a_config_error(tmp_path, capsys, metric):
+    regions = tmp_path / "regions.txt"
+    config = tmp_path / "infer.cfg"
+    config.write_text(
+        f"volatility_metric = {metric}\nvolatility_threshold = -1\nregions_file = {regions}\n"
+    )
+    assert main(["infer-state", str(config)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and "volatility_threshold" in captured.err
+    assert captured.out == "" and not regions.exists()

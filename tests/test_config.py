@@ -13,3 +13,9 @@ def test_state_only_mode_is_rejected_naming_both_modes():
 def test_stats_every_below_one_is_rejected(value):
     with pytest.raises(ConfigError, match="stats_every"):
         parse_config(f"stats_every = {value}\n")
+
+
+def test_negative_volatility_threshold_is_rejected():
+    with pytest.raises(ConfigError, match="volatility_threshold"):
+        parse_config("volatility_threshold = -1\n")
+    assert parse_config("volatility_threshold = 0\n").volatility_threshold == 0

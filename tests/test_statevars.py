@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from random import Random
 
 import pytest
@@ -17,6 +18,8 @@ from teefuzz.statevars import (
     ABSENT_MARKER,
     VOLATILITY_THRESHOLD,
     CompiledRegions,
+    HandleSnapshotLog,
+    SnapshotEntry,
     StateVarRegion,
     collect_snapshots,
     filter_volatile,
@@ -106,6 +109,93 @@ def test_every_other_logged_word_is_volatile(default_inference):
     others = {key: len(words) for key, words in distinct.items() if key not in truth}
     assert len(others) == (OP_HANDLE_SIZE + OBJ_HANDLE_SIZE) // 4 - len(truth)
     assert min(others.values()) > VOLATILITY_THRESHOLD, others
+
+
+# --- volatility filter ------------------------------------------------------------
+
+
+def unbounded_churn(logbook, metric) -> dict[str, list[int]]:
+    """Reference churn of every offset over the whole log, per kind in
+    sorted order: distinct words, or changes between consecutive snapshots
+    of the kind.  Nothing is dropped early, so memory grows with the log."""
+    sizes: dict[str, int] = {}
+    for e in logbook.entries:
+        sizes.setdefault(e.handle_kind, len(e.data))
+    counters: dict[tuple[str, int], set[bytes] | int] = {}
+    last_seen: dict[tuple[str, int], bytes] = {}
+    for e in logbook.entries:
+        for off in range(0, sizes[e.handle_kind], 4):
+            key = (e.handle_kind, off)
+            word = e.data[off : off + 4]
+            if metric == "distinct":
+                counters.setdefault(key, set()).add(word)
+            else:
+                prev = last_seen.get(key)
+                if prev is not None and prev != word:
+                    counters[key] = counters.get(key, 0) + 1
+                last_seen[key] = word
+    churn = {}
+    for kind, size in sorted(sizes.items()):
+        counts = [counters.get((kind, off)) for off in range(0, size, 4)]
+        churn[kind] = [len(c) if isinstance(c, set) else (c or 0) for c in counts]
+    return churn
+
+
+def unbounded_filter(churn: dict[str, list[int]], threshold: int) -> dict[str, list[int]]:
+    """Reference filter: the offsets whose whole-log churn is <= threshold."""
+    return {
+        kind: [4 * i for i, count in enumerate(counts) if count <= threshold]
+        for kind, counts in churn.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def logbooks(templates, seed_corpus):
+    """Snapshot logs of three campaign seeds at budgets 1, 50 and 3,000."""
+    books = {}
+    for seed in (1, 2, 3):
+        for budget in (1, 50, 3_000):
+            probe = SimProbe(seed, templates)
+            books[seed, budget] = collect_snapshots(
+                seed_corpus, budget, probe, templates, Random(seed)
+            )
+    return books
+
+
+@pytest.mark.parametrize("metric", ["distinct", "occurrences"])
+def test_bounded_filter_equals_the_unbounded_reference(logbooks, metric):
+    for (seed, budget), logbook in logbooks.items():
+        churn = unbounded_churn(logbook, metric)
+        for threshold in (0, 1, 2, 80, 81, 10**6):
+            want = unbounded_filter(churn, threshold)
+            got = filter_volatile(logbook, threshold, metric)
+            where = (seed, budget, threshold)
+            assert list(got.items()) == list(want.items()), where
+
+
+@pytest.mark.parametrize("metric", ["distinct", "occurrences"])
+def test_filter_memory_is_bounded_by_the_threshold(metric):
+    """20,000 snapshots whose last twelve words are noise: the filter holds
+    at most threshold + 1 words per offset, not one per snapshot."""
+    rng = Random(11)
+    logbook = HandleSnapshotLog(
+        [SnapshotEntry(i, 0, "operation", bytes(16) + rng.randbytes(48)) for i in range(20_000)]
+    )
+    tracemalloc.start()
+    try:
+        got = filter_volatile(logbook, VOLATILITY_THRESHOLD, metric)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == {"operation": [0, 4, 8, 12]}
+    assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("metric", ["distinct", "occurrences"])
+def test_negative_threshold_is_rejected(metric):
+    logbook = HandleSnapshotLog([SnapshotEntry(0, 0, "operation", bytes(OP_HANDLE_SIZE))])
+    with pytest.raises(ValueError, match="threshold"):
+        filter_volatile(logbook, -1, metric)
 
 
 # --- state keys -------------------------------------------------------------------
