@@ -102,10 +102,16 @@ def cmd_infer_state(args) -> int:
     logbook = statevars.collect_snapshots(
         seeds, cfg.infer_budget, probe, templates, rng, cfg.max_len
     )
+    if not logbook:
+        print(f"error: no handle was ever live (executions: {cfg.infer_budget})", file=sys.stderr)
+        return EXIT_ERROR
     candidates = statevars.filter_volatile(
         logbook, cfg.volatility_threshold, cfg.volatility_metric
     )
     regions = statevars.infer_state_vars(candidates, templates, probe, cfg.infer_trials)
+    if not regions:
+        print("error: inferred 0 regions; raise infer_budget or infer_trials", file=sys.stderr)
+        return EXIT_ERROR
     statevars.save_regions(regions, cfg.regions_file)
     truth = set(GROUND_TRUTH_REGIONS)
     found = {(r.handle_kind, r.offset) for r in regions}

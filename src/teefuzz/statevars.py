@@ -1,10 +1,11 @@
 """State-variable inference and state hashing.
 
 The pipeline mirrors the handle-snapshot approach: run a coverage-only
-pre-fuzzing pass while logging handle buffers, drop four-byte words that
-behave like buffers or pointers (too many distinct values), then confirm
-the survivors by executing systematically varied crypto configurations
-and keeping the words that respond to configuration changes but stay
+pre-fuzzing pass while logging handle buffers (in columns, as the log is
+what grows with the budget), drop four-byte words that behave like
+buffers or pointers (too many distinct values), then confirm the
+survivors by executing systematically varied crypto configurations and
+keeping the words that respond to configuration changes but stay
 repeatable run-to-run.  The combined value of the inferred regions over
 all live handles, hashed, is the state-coverage unit.
 """
@@ -12,7 +13,8 @@ all live handles, hashed, is the state-coverage unit.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from random import Random
 from typing import NamedTuple
@@ -42,14 +44,49 @@ class SnapshotEntry(NamedTuple):
     data: bytes
 
 
-@dataclass
 class HandleSnapshotLog:
-    entries: list[SnapshotEntry] = field(default_factory=list)
+    """Every handle snapshot of a pre-fuzzing pass, stored in columns.
+
+    `data` holds the rows' bytes back to back, `ends[i]` is where row i
+    ends in it, and `rows[i]` packs `call_index << 48 | testcase_id << 8 |
+    kind`, with `kinds` mapping kind names to indices (a payload has
+    under 2**16 calls, a target a few kinds).  A 64-byte row costs under
+    90 B, not the 175 B of a `SnapshotEntry` in a list.  Iterating
+    `entries`, the log itself, builds one `SnapshotEntry` per step.
+    """
+
+    def __init__(self, entries: Iterable[SnapshotEntry] = ()):
+        self.data, self.ends, self.rows = bytearray(), array("Q"), array("Q")
+        self.kinds: dict[str, int] = {}
+        for tc, call, kind, data in entries:
+            self.rows.append(call << 48 | tc << 8 | self.kinds.setdefault(kind, len(self.kinds)))
+            self.data += data
+            self.ends.append(len(self.data))
 
     def append_result(self, testcase_id: int, result) -> None:
-        for call_index, sr in enumerate(result.per_syscall):
+        data, ends, rows, kinds = self.data, self.ends, self.rows, self.kinds
+        row = testcase_id << 8
+        for sr in result.per_syscall:
             for snap in sr.snapshots:
-                self.entries.append(SnapshotEntry(testcase_id, call_index, snap.kind, snap.data))
+                rows.append(row | kinds.setdefault(snap.kind, len(kinds)))
+                data += snap.data
+                ends.append(len(data))
+            row += 1 << 48
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __iter__(self) -> Iterator[SnapshotEntry]:
+        # slices, not a memoryview, so that a paused iterator lets the log grow
+        names, data, start = list(self.kinds), self.data, 0
+        for end, row in zip(self.ends, self.rows):
+            tc, call, kind = row >> 8 & 0xFF_FFFF_FFFF, row >> 48, names[row & 0xFF]
+            yield SnapshotEntry(tc, call, kind, bytes(data[start:end]))
+            start = end
+
+    @property
+    def entries(self) -> HandleSnapshotLog:
+        return self
 
 
 # --- snapshot collection -------------------------------------------------------
@@ -121,7 +158,7 @@ def filter_volatile(
     one counting the whole log would give, and each offset holds at most
     `threshold + 1` words.
     """
-    if not logbook.entries:
+    if not logbook:
         raise ValueError("empty snapshot log")
     if metric not in ("distinct", "occurrences"):
         raise ValueError(f"unknown volatility metric '{metric}'")
@@ -130,32 +167,34 @@ def filter_volatile(
     distinct = metric == "distinct"
     # per kind, each offset still at or under the threshold with its churn
     # so far: the set of words seen, or [last word, changes]
-    live: dict[str, dict[int, set[bytes] | list]] = {}
-    for e in logbook.entries:
-        data = e.data
-        offs = live.get(e.handle_kind)
-        if offs is None:
-            offs = live[e.handle_kind] = {
-                off: set() if distinct else [data[off : off + 4], 0]
-                for off in range(0, len(data), 4)
-            }
-        gone = []
-        if distinct:
-            for off, words in offs.items():
-                words.add(data[off : off + 4])
-                if len(words) > threshold:
-                    gone.append(off)
-        else:
-            for off, seen in offs.items():
-                word = data[off : off + 4]
-                if word != seen[0]:
-                    seen[0] = word
-                    seen[1] += 1
-                    if seen[1] > threshold:
+    live: list[dict[int, set[bytes] | list] | None] = [None] * len(logbook.kinds)
+    start = 0
+    with memoryview(logbook.data) as view:
+        for end, row in zip(logbook.ends, logbook.rows):
+            data, start = view[start:end].tobytes(), end
+            offs = live[row & 0xFF]
+            if offs is None:
+                offs = live[row & 0xFF] = {
+                    off: set() if distinct else [data[off : off + 4], 0]
+                    for off in range(0, len(data), 4)
+                }
+            gone = []
+            if distinct:
+                for off, words in offs.items():
+                    words.add(data[off : off + 4])
+                    if len(words) > threshold:
                         gone.append(off)
-        for off in gone:
-            del offs[off]
-    return {kind: list(offs) for kind, offs in sorted(live.items())}
+            else:
+                for off, seen in offs.items():
+                    word = data[off : off + 4]
+                    if word != seen[0]:
+                        seen[0] = word
+                        seen[1] += 1
+                        if seen[1] > threshold:
+                            gone.append(off)
+            for off in gone:
+                del offs[off]
+    return {kind: list(live[i]) for kind, i in sorted(logbook.kinds.items())}
 
 
 # --- active inference --------------------------------------------------------------

@@ -206,3 +206,29 @@ def test_infer_state_with_a_negative_threshold_is_a_config_error(tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: ") and "volatility_threshold" in captured.err
     assert captured.out == "" and not regions.exists()
+
+
+def test_infer_state_that_logs_no_snapshot_is_an_error(tmp_path, capsys):
+    seeds = tmp_path / "seeds"
+    seeds.mkdir()
+    (seeds / "malloc.prog").write_text("TEE_Malloc(16, 0)\n")
+    regions = tmp_path / "regions.txt"
+    config = tmp_path / "infer.cfg"
+    config.write_text(f"corpus_dir = {seeds}\ninfer_budget = 1\nregions_file = {regions}\n")
+    assert main(["infer-state", str(config)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: no handle was ever live (executions: 1)\n"
+    assert captured.out == "" and not regions.exists()
+
+
+@pytest.mark.parametrize("knob", ["infer_trials = 1", "volatility_threshold = 0"])
+def test_infer_state_that_infers_no_region_is_an_error(tmp_path, capsys, knob):
+    regions = tmp_path / "regions.txt"
+    regions.write_text("operation 12 4\n")
+    config = tmp_path / "infer.cfg"
+    config.write_text(f"infer_budget = 300\n{knob}\nregions_file = {regions}\n")
+    assert main(["infer-state", str(config)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: inferred 0 regions")
+    assert "infer_budget" in captured.err and "infer_trials" in captured.err
+    assert captured.out == "" and regions.read_text() == "operation 12 4\n"

@@ -11,7 +11,9 @@ from teefuzz.minitee import (
     GROUND_TRUTH_REGIONS,
     OBJ_HANDLE_SIZE,
     OP_HANDLE_SIZE,
+    ExecutionResult,
     HandleSnapshot,
+    SyscallResult,
 )
 from teefuzz.probe import SimProbe
 from teefuzz.statevars import (
@@ -149,17 +151,47 @@ def unbounded_filter(churn: dict[str, list[int]], threshold: int) -> dict[str, l
     }
 
 
+class RecordingProbe:
+    """A probe that keeps, in order, the rows a log of its results must
+    hold: (execution index, call index, kind, data) per snapshot."""
+
+    def __init__(self, probe):
+        self.probe = probe
+        self.executions = 0
+        self.rows: list[SnapshotEntry] = []
+
+    def submit(self, payload):
+        result = self.probe.submit(payload)
+        for call, sr in enumerate(result.per_syscall):
+            self.rows += [SnapshotEntry(self.executions, call, s.kind, s.data) for s in sr.snapshots]
+        self.executions += 1
+        return result
+
+
 @pytest.fixture(scope="module")
-def logbooks(templates, seed_corpus):
-    """Snapshot logs of three campaign seeds at budgets 1, 50 and 3,000."""
+def recorded_logbooks(templates, seed_corpus):
+    """Snapshot logs of three campaign seeds at budgets 1, 50 and 3,000,
+    each with the rows its probe returned."""
     books = {}
     for seed in (1, 2, 3):
         for budget in (1, 50, 3_000):
-            probe = SimProbe(seed, templates)
-            books[seed, budget] = collect_snapshots(
-                seed_corpus, budget, probe, templates, Random(seed)
-            )
+            probe = RecordingProbe(SimProbe(seed, templates))
+            logbook = collect_snapshots(seed_corpus, budget, probe, templates, Random(seed))
+            books[seed, budget] = logbook, probe.rows
     return books
+
+
+@pytest.fixture(scope="module")
+def logbooks(recorded_logbooks):
+    """Snapshot logs of three campaign seeds at budgets 1, 50 and 3,000."""
+    return {key: logbook for key, (logbook, _) in recorded_logbooks.items()}
+
+
+def test_the_log_reads_back_every_snapshot_the_probe_returned(recorded_logbooks):
+    for key, (logbook, rows) in recorded_logbooks.items():
+        assert list(logbook.entries) == rows, key
+        assert len(logbook) == len(logbook.entries) == len(list(logbook.entries)), key
+        assert list(HandleSnapshotLog(logbook.entries).entries) == rows, key
 
 
 @pytest.mark.parametrize("metric", ["distinct", "occurrences"])
@@ -189,6 +221,30 @@ def test_filter_memory_is_bounded_by_the_threshold(metric):
         tracemalloc.stop()
     assert got == {"operation": [0, 4, 8, 12]}
     assert peak < 1_000_000, peak
+
+
+def test_the_log_holds_its_rows_in_columns():
+    """20,000 results of one fresh 64-byte snapshot each, dropped after the
+    append as in the pre-fuzzing pass: the log holds under 90 B a row, and
+    reading it as entries builds one row at a time."""
+    rng = Random(11)
+    tracemalloc.start()
+    try:
+        logbook = HandleSnapshotLog()
+        for i in range(20_000):
+            snap = HandleSnapshot(0, "operation", rng.randbytes(OP_HANDLE_SIZE))
+            logbook.append_result(i, ExecutionResult([SyscallResult([], [snap], 0)], None))
+        del snap
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for _ in logbook.entries:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 2_000_000, held
+    assert peak - held <= 100_000, peak - held
+    assert len(logbook.entries) == 20_000
 
 
 @pytest.mark.parametrize("metric", ["distinct", "occurrences"])
