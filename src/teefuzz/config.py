@@ -47,8 +47,9 @@ class CampaignConfig:
             raise ConfigError("max_len must be >= 1")
         if self.infer_budget < 1:
             raise ConfigError("infer_budget must be >= 1")
-        if self.infer_trials < 1:
-            raise ConfigError("infer_trials must be >= 1")
+        if self.infer_trials < 2:
+            # a region needs two trials whose final words differ
+            raise ConfigError("infer_trials must be >= 2")
         if self.stats_every < 1:
             raise ConfigError("stats_every must be >= 1")
 

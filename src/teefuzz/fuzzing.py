@@ -43,11 +43,7 @@ CrashId = tuple[str, ...]
 @dataclass
 class SeedNode:
     testcase: TestCase
-    branch_cov: frozenset[int]
-    cov_size: int = field(init=False)
-
-    def __post_init__(self):
-        self.cov_size = len(self.branch_cov)
+    cov_size: int  # distinct branches its execution covered
 
 
 @dataclass
@@ -114,7 +110,7 @@ def preserve(
     union: set[int] = set()
     for cov, _ in per_syscall:
         union |= cov
-    node = SeedNode(testcase, frozenset(union))
+    node = SeedNode(testcase, len(union))
     for sh in node_states:
         seedmap.setdefault(sh, []).append(node)
     global_cov |= union

@@ -11,24 +11,31 @@ are seeded (BUG_FRAMES), exactly one of which (B4) is gated behind the
 key_set_and_initialized state, so that state feedback has something
 measurable to win.
 
-The probe uses two methods: reset() and execute_payload(), which returns
-each executed call's trace, return code and a snapshot of every live
-handle buffer.  Nothing else of the target is read from outside.
+The probe uses one method, execute_payload(), which runs a payload from
+the power-on state and returns each executed call's trace, return code
+and a snapshot of every live handle buffer.  Nothing else of the target
+is read from outside.
 
 Given a fixed campaign seed, execution is a pure function of the payload
-bytes.  The execution key mixes the campaign key with the payload's
-CRC-32; one splitmix64 finalizer per call turns it into that call's noise
-key.  The noise key seeds a Weyl sequence that supplies the trace noise
-packets as the handler walks, and it derives the noise words of every
-live handle by multiplication.  Allocation addresses come from counters.
-Noise never reaches feedback: coverage drops normal-world packets, and
-state inference rejects every noise word as volatile.
+bytes, and call i's result is a function of calls 0..i alone.  Call i's
+noise key is one splitmix64 finalizer of the campaign key xor the CRC-32
+of the payload's call bytes up to and including call i.  The noise key
+seeds a Weyl sequence that picks the trace noise packets from a fixed
+table as the handler walks, it derives the noise words of every live
+handle by multiplication, and it keys the self-pointer of an operation
+allocated by the call.  Allocation addresses come from counters.  Noise
+never reaches feedback: coverage drops normal-world packets, and state
+inference rejects every noise word as volatile.  So a MiniTee can resume
+a payload from the cached state after a prefix of its calls, as snapshot
+fuzzers resume a target, and simulate only the calls after it.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from array import array
+from collections import OrderedDict
 from typing import NamedTuple
 
 from .payload import PayloadError, deserialize_payload
@@ -38,7 +45,6 @@ from .tracecov import NOISE_RANGE, SECURE_RANGE, TracePacket
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 _WEYL = 0x9E3779B97F4A7C15  # odd increment of the per-call noise sequence
-_NOISE_LO = NOISE_RANGE[0]
 _BUFFER = ArgKind.BUFFER
 _REF = ArgKind.RESOURCE_REF
 _new = tuple.__new__  # builds named tuples without their Python __new__
@@ -47,6 +53,14 @@ _new = tuple.__new__  # builds named tuples without their Python __new__
 _OP_KEY_NOISE = struct.Struct("<QQ")
 _OP_SCRATCH_NOISE = struct.Struct("<QQI")
 _OBJ_NOISE = struct.Struct("<QQQQ")
+
+# the most post-call states (_Node) one MiniTee caches
+CACHE_NODES = 2_000
+# slots of the direct-mapped record of prefixes seen once: a prefix's CRC-32
+# picks its slot by the low bits and leaves its high 16 bits there, so two
+# prefixes rarely pass for one, and then only a node is cached early
+_SEEN_SLOTS = 1 << 14
+_ADDR_BASE = 0x4000_0000
 
 # --- GP-flavoured constants ---------------------------------------------------
 
@@ -182,13 +196,26 @@ def _mag3(v: int) -> int:
     return min(7, (v.bit_length() + 3) // 4)
 
 
+def _noise_packet(m: int) -> TracePacket:
+    nb = 1 + ((m >> 28) & 0x7)
+    return TracePacket(NOISE_RANGE[0] + (m & 0x0FFF_FFFF), nb, (m >> 31) & ((1 << nb) - 1))
+
+
+# the normal-world noise packets; each step of a call's noise sequence
+# picks one by its top byte
+_NOISE = [_noise_packet(_mix(i + 1)) for i in range(256)]
+# secure packets, one object per distinct packet in the process, keyed by
+# address << 16 | bit count << 8 | bits
+_SECURE: dict[int, TracePacket] = {}
+
+
 class _Handle:
     __slots__ = ("hid", "kind", "buf", "live", "max_key_bits", "key_len")
 
-    def __init__(self, hid: int, kind: str, size: int):
+    def __init__(self, hid: int, kind: str, buf: bytearray | None):
         self.hid = hid
         self.kind = kind
-        self.buf = bytearray(size)
+        self.buf = buf
         self.live = True
         self.max_key_bits = 0
         self.key_len = 0
@@ -213,16 +240,19 @@ class _Walk:
     after it.  Every call to b() records one secure block packet; blocks
     0, 2, 4, ... are each preceded by one normal-world noise packet, so
     noise is at least a third of every per-syscall trace by construction.
-    Noise packets take their address and bits from a Weyl sequence (one
-    add per packet) seeded with the call's noise key.  bit() records a
-    block holding one decision and returns that decision, so a handler
-    that branches on it takes the branch its trace records.
+    A Weyl sequence (one add per packet) seeded with the call's noise key
+    picks each noise packet from the fixed table _NOISE; secure packets
+    come from the process-wide _SECURE, so a trace holds only shared
+    packets.  bit() records a block holding one decision and returns that
+    decision, so a handler that branches on it takes the branch its trace
+    records.
     """
 
-    __slots__ = ("base", "trace", "noise", "even")
+    __slots__ = ("base", "key", "trace", "noise", "even")
 
     def __init__(self, base: int, noise_key: int):
         self.base = base
+        self.key = base << 16
         self.trace: list[TracePacket] = []
         self.noise = noise_key
         self.even = True
@@ -231,20 +261,55 @@ class _Walk:
         trace = self.trace
         if self.even:
             k = self.noise = (self.noise + _WEYL) & _M64
-            nb = 1 + ((k >> 28) & 0x7)
-            trace.append(
-                _new(TracePacket, (_NOISE_LO + (k & 0x0FFF_FFFF), nb, (k >> 31) & ((1 << nb) - 1)))
-            )
+            trace.append(_NOISE[k >> 56])
         self.even = not self.even
-        trace.append(_new(TracePacket, (self.base + block_id * 8, nbits, bits)))
+        key = self.key + (block_id << 19 | nbits << 8 | bits)
+        p = _SECURE.get(key)
+        if p is None:
+            p = _SECURE[key] = _new(TracePacket, (self.base + block_id * 8, nbits, bits))
+        trace.append(p)
 
     def bit(self, block_id: int, taken):
         self.b(block_id, 1, 1 if taken else 0)
         return taken
 
 
+class _Node:
+    """The target just after one call of a cached call prefix.
+
+    `key` is (the node of the prefix one call shorter, or None for the
+    power-on state; the call's payload bytes).  The call's trace and
+    snapshots are tuples of shared, immutable objects.  `state` packs, as
+    unsigned 16-bit words, the handle count, then per handle (kind | live
+    << 1, max_key_bits, key_len) and per entry of the attrs, ivs, chunks
+    and mems maps (address index, map index, value).  Live handle buffers
+    are the snapshots' data; a freed handle's buffer is never read again,
+    so it is not kept.
+    """
+
+    __slots__ = ("key", "trace", "snapshots", "ret", "value", "state")
+
+    def __init__(self, key, trace, snapshots, ret, value, state):
+        self.key = key
+        self.trace = trace
+        self.snapshots = snapshots
+        self.ret = ret
+        self.value = value
+        self.state = state
+
+
 class MiniTee:
-    """One simulated target instance.  Single-threaded; one per worker."""
+    """One simulated target instance.  Single-threaded; one per worker.
+
+    execute_payload resumes each payload from the longest prefix of its
+    calls whose post-call state is cached as a _Node, and simulates only
+    the calls after it.  A prefix's node is admitted on the prefix's second
+    visit, and only if the node of the prefix one call shorter is cached.
+    At most CACHE_NODES nodes are kept, the least recently used dropped
+    first.  Each execution marks its nodes used deepest first, so a node
+    is dropped before the node it extends, and a key never holds a node
+    the cache has dropped.
+    """
 
     def __init__(self, campaign_seed: int, templates: TemplateSet | None = None):
         self.campaign_seed = campaign_seed & _M64
@@ -261,6 +326,8 @@ class MiniTee:
         unknown = sorted(set(by_name) - set(_HANDLERS))
         if unknown:
             raise ValueError(f"template set names syscalls the target lacks: {', '.join(unknown)}")
+        self._cache: OrderedDict[tuple[_Node | None, bytes], _Node] = OrderedDict()
+        self._seen = array("H", [0]) * _SEEN_SLOTS
         self.reset()
 
     # --- probe-visible surface ------------------------------------------------
@@ -271,24 +338,62 @@ class MiniTee:
         self.attrs: dict[int, int] = {}   # addr -> key material length (bytes)
         self.ivs: dict[int, int] = {}     # addr -> iv length
         self.chunks: dict[int, int] = {}  # addr -> chunk length
-        self.mems: dict[int, bool] = {}   # addr -> still allocated
+        self.mems: dict[int, int] = {}    # addr -> 1 while allocated, 0 once freed
         self._live_count = {"operation": 0, "object": 0}
         self._next_handle = 0
         self._next_addr = 0
-        self._exec_key = 0
+        self._call_key = 0
 
     def execute_payload(self, data: bytes) -> ExecutionResult:
+        """Run one payload from the power-on state.
+
+        Call i's noise key is the splitmix64 finalizer of the campaign key
+        xor the CRC-32 of the payload's call bytes up to and including call
+        i, so call i's whole result depends on calls 0..i only, and a cached
+        prefix gives the result its calls would.  Each result gets its own
+        trace and snapshots lists.
+        """
+        bounds: list[int] = []
         try:
-            tc = deserialize_payload(data, self.templates)
+            calls = deserialize_payload(data, self.templates, bounds).calls
         except PayloadError:
+            self.reset()
             return ExecutionResult(per_syscall=[], fault=FaultRecord(FAULT_HARD, DECODE_FRAMES, 0))
-        self._exec_key = exec_key = _mix(self._campaign_key ^ zlib.crc32(data))
+        cache = self._cache
         per_syscall: list[SyscallResult] = []
         results: list[int] = []
+        path: list[_Node] = []
+        parent = None
+        start = bounds[0]
+        for end in bounds[1:]:
+            node = cache.get((parent, data[start:end]))
+            if node is None:
+                break
+            path.append(node)
+            per_syscall.append(
+                _new(SyscallResult, (list(node.trace), list(node.snapshots), node.ret))
+            )
+            results.append(node.value)
+            parent = node
+            start = end
+        if path:
+            self._restore(path[-1])
+            crc = zlib.crc32(data[bounds[0] : start])
+        else:
+            self.reset()
+            crc = 0
+        campaign_key = self._campaign_key
+        seen = self._seen
+        admit = True
         fault: FaultRecord | None = None
-        for idx, call in enumerate(tc.calls):
+        for idx in range(len(path), len(calls)):
+            call = calls[idx]
+            end = bounds[idx + 1]
+            call_bytes = data[start:end]
+            start = end
+            crc = zlib.crc32(call_bytes, crc)
+            self._call_key = noise_key = _mix(campaign_key ^ crc)
             handler, base, arity = self._dispatch[call.ordinal]
-            noise_key = _mix(exec_key ^ (idx * 0xD1B54A32D192ED03))
             w = _Walk(base, noise_key)
             args = call.args
             w.b(0, 1, 1 if len(args) == arity else 0)
@@ -313,9 +418,24 @@ class MiniTee:
             w.b(14, 2, 0 if ret == RET_OK else 1 | (2 if ret in _STATE_ERRORS else 0))
             w.b(15, 1, 1)
             results.append(value)
-            per_syscall.append(
-                _new(SyscallResult, (w.trace, self._refresh_noise(noise_key), ret))
-            )
+            trace, snapshots = w.trace, self._refresh_noise(noise_key)
+            per_syscall.append(_new(SyscallResult, (trace, snapshots, ret)))
+            slot, tag = crc & (_SEEN_SLOTS - 1), crc >> 16
+            if admit and seen[slot] == tag:
+                parent = _Node(
+                    (parent, call_bytes), tuple(trace), tuple(snapshots), ret, value, self._pack()
+                )
+                cache[parent.key] = parent
+                path.append(parent)
+            else:
+                seen[slot] = tag
+                admit = False
+        # deepest first, so that the least recent node is never a prefix of
+        # a cached node
+        for node in reversed(path):
+            cache.move_to_end(node.key)
+        while len(cache) > CACHE_NODES:
+            cache.popitem(last=False)
         return ExecutionResult(per_syscall=per_syscall, fault=fault)
 
     # --- internals --------------------------------------------------------------
@@ -326,10 +446,10 @@ class MiniTee:
         A handle's noise word is the call's noise key xor its id, times an
         odd constant; the operation scratch word is that word times a
         second odd constant.  Both maps are bijections of the noise key,
-        which itself differs per (campaign, payload, call index), so every
-        noise word accumulates far more than 80 distinct values over any
-        real pre-fuzzing run while execution stays deterministic.  Returns
-        the live-handle snapshots in allocation order.
+        which differs per campaign and call prefix, so every noise word
+        accumulates far more than 80 distinct values over any real
+        pre-fuzzing run while execution stays deterministic.  Returns the
+        live-handle snapshots in allocation order.
         """
         snaps = []
         for h in self.handles.values():
@@ -346,14 +466,46 @@ class MiniTee:
             snaps.append(_new(HandleSnapshot, (h.hid, h.kind, bytes(buf))))
         return snaps
 
+    def _pack(self) -> bytes:
+        """The machine state but the live buffers, as _Node.state."""
+        words = [len(self.handles)]
+        for h in self.handles.values():
+            words += ((h.kind == "operation") | h.live << 1, h.max_key_bits, h.key_len)
+        for i, addrs in enumerate((self.attrs, self.ivs, self.chunks, self.mems)):
+            for addr, v in addrs.items():
+                words += ((addr - _ADDR_BASE) >> 4, i, v)
+        return array("H", words).tobytes()
+
+    def _restore(self, node: _Node) -> None:
+        """Set the machine to its state just after `node`'s call."""
+        words = memoryview(node.state).cast("H").tolist()
+        self.reset()
+        handles, live = self.handles, self._live_count
+        snapshots = iter(node.snapshots)  # the live handles, in order
+        n = self._next_handle = words[0]
+        for i in range(1, 3 * n + 1, 3):
+            hid = 0x100 + (i + 2) // 3
+            kind = "operation" if words[i] & 1 else "object"
+            h = handles[hid] = _Handle(hid, kind, None)
+            if words[i] & 2:
+                h.buf = bytearray(next(snapshots).data)
+                live[kind] += 1
+            else:
+                h.live = False
+            h.max_key_bits, h.key_len = words[i + 1], words[i + 2]
+        maps = (self.attrs, self.ivs, self.chunks, self.mems)
+        for i in range(3 * n + 1, len(words), 3):
+            maps[words[i + 1]][_ADDR_BASE + 16 * words[i]] = words[i + 2]
+        self._next_addr = len(words) // 3 - n
+
     def _alloc_handle(self, kind: str, size: int) -> _Handle:
         self._next_handle += 1
         hid = 0x100 + self._next_handle
-        h = _Handle(hid, kind, size)
+        h = _Handle(hid, kind, bytearray(size))
         self.handles[hid] = h
         self._live_count[kind] += 1
         if kind == "operation":
-            ptr = _mix(self._exec_key ^ (self._next_handle * 0xC2B2AE3D27D4EB4F))
+            ptr = _mix(self._call_key ^ (self._next_handle * 0xC2B2AE3D27D4EB4F))
             h.buf[40:44] = (ptr & 0xFFFFFFFF).to_bytes(4, "little")
         return h
 
@@ -363,7 +515,7 @@ class MiniTee:
 
     def _alloc_addr(self) -> int:
         self._next_addr += 1
-        return 0x4000_0000 + 16 * self._next_addr
+        return _ADDR_BASE + 16 * self._next_addr
 
     @staticmethod
     def _bytes_arg(call, i: int) -> bytes:
@@ -707,7 +859,7 @@ class MiniTee:
         w.b(6, 5, _mag3(size) | ((hint & 3) << 3))
         w.b(4, 1, 1 if size == 0 else 0)
         addr = self._alloc_addr()
-        self.mems[addr] = True
+        self.mems[addr] = 1
         w.b(5, 1, 1)
         return RET_OK, addr
 
@@ -718,7 +870,7 @@ class MiniTee:
         w.b(3, 2, (1 if alive is not None else 0) | (2 if alive else 0))
         if not alive:
             return RET_BAD_PARAM, 0
-        self.mems[ptr] = False
+        self.mems[ptr] = 0
         return RET_OK, 0
 
     def _h_init_ref_attribute(self, w, call, attr_id, _data_len):

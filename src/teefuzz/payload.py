@@ -96,12 +96,16 @@ def serialize_payload(tc: TestCase) -> bytes:
     return b"".join(out)
 
 
-def deserialize_payload(data: bytes, templates: TemplateSet) -> TestCase:
+def deserialize_payload(
+    data: bytes, templates: TemplateSet, bounds: list[int] | None = None
+) -> TestCase:
     """Exact inverse of serialize_payload on its image.
 
     Decoding is structural: ordinals must exist in the template set (the
     executor only dispatches known syscalls) but arity and argument typing
-    against templates stay the validator's job.
+    against templates stay the validator's job.  A given `bounds` list
+    receives the offset where the calls start, then the offset just past
+    each call, so call i's bytes are data[bounds[i]:bounds[i + 1]].
     """
     end = len(data)
     if end < 4 or data[:4] != MAGIC:
@@ -114,6 +118,8 @@ def deserialize_payload(data: bytes, templates: TemplateSet) -> TestCase:
         raise PayloadError(PayloadErrorCode.BAD_VERSION, f"version {data[4]}")
     count = data[5] | (data[6] << 8)
     pos = 7
+    if bounds is not None:
+        bounds.append(pos)
     known = templates.by_ordinal
     new = _new
     u16 = _U16
@@ -159,6 +165,8 @@ def deserialize_payload(data: bytes, templates: TemplateSet) -> TestCase:
                 else:
                     raise PayloadError(PayloadErrorCode.UNKNOWN_ARG_TAG, str(tag))
             calls.append(new(Syscall, (ordinal, tuple(args))))
+            if bounds is not None:
+                bounds.append(pos)
     except (IndexError, struct.error):
         raise PayloadError(PayloadErrorCode.TRUNCATED, f"at offset {pos}")
     return TestCase(tuple(calls))

@@ -15,8 +15,10 @@ from .minitee import ExecutionResult, MiniTee, SyscallResult
 class SimProbe:
     """In-process endpoint over one MiniTee instance.
 
-    One endpoint serves one worker; submit is reset-prefixed, so results
-    never depend on earlier submissions.
+    One endpoint serves one worker.  Every submit runs from the power-on
+    state, so results never depend on earlier submissions.  Results may
+    share immutable tuples and bytes (packets, snapshots) across submits,
+    while their lists are fresh, so a caller may change them freely.
     """
 
     def __init__(self, campaign_seed: int, templates=None):
@@ -27,7 +29,6 @@ class SimProbe:
         payload: bytes,
         on_syscall: Callable[[int, SyscallResult], None] | None = None,
     ) -> ExecutionResult:
-        self.sim.reset()
         result = self.sim.execute_payload(payload)
         if on_syscall is not None:
             # in-process stand-in for the streaming contract: per-syscall

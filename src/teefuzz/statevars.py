@@ -313,10 +313,10 @@ def infer_state_vars(
 
     A candidate offset becomes a state-variable region iff its final value
     differs between at least two trials while being identical across
-    repeated runs of the same trial.
+    repeated runs of the same trial, so one trial can never confirm one.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if trials < 2:
+        raise ValueError("trials must be >= 2")
     grid = trial_grid(templates)[:trials]
     # per kind, per offset, the per-trial final words (None = handle absent
     # in that trial, "unstable" = the two runs disagreed)

@@ -221,7 +221,19 @@ def test_infer_state_that_logs_no_snapshot_is_an_error(tmp_path, capsys):
     assert captured.out == "" and not regions.exists()
 
 
-@pytest.mark.parametrize("knob", ["infer_trials = 1", "volatility_threshold = 0"])
+def test_infer_state_with_one_trial_is_a_config_error(tmp_path, capsys):
+    # a region needs two trials whose final words differ
+    regions = tmp_path / "regions.txt"
+    regions.write_text("operation 12 4\n")
+    config = tmp_path / "infer.cfg"
+    config.write_text(f"infer_budget = 300\ninfer_trials = 1\nregions_file = {regions}\n")
+    assert main(["infer-state", str(config)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "config error: infer_trials must be >= 2\n"
+    assert captured.out == "" and regions.read_text() == "operation 12 4\n"
+
+
+@pytest.mark.parametrize("knob", ["volatility_threshold = 0"])
 def test_infer_state_that_infers_no_region_is_an_error(tmp_path, capsys, knob):
     regions = tmp_path / "regions.txt"
     regions.write_text("operation 12 4\n")

@@ -19,3 +19,10 @@ def test_negative_volatility_threshold_is_rejected():
     with pytest.raises(ConfigError, match="volatility_threshold"):
         parse_config("volatility_threshold = -1\n")
     assert parse_config("volatility_threshold = 0\n").volatility_threshold == 0
+
+
+@pytest.mark.parametrize("value", ["1", "0"])
+def test_fewer_than_two_infer_trials_are_rejected(value):
+    with pytest.raises(ConfigError, match="infer_trials must be >= 2"):
+        parse_config(f"infer_trials = {value}\n")
+    assert parse_config("infer_trials = 2\n").infer_trials == 2

@@ -179,7 +179,7 @@ def test_preserve_opens_a_bucket_for_a_new_state(seed_corpus):
     assert preserve(tc, [({1, 2}, 10), ({2}, 20)], global_cov, seedmap, hitmap) == [10, 20]
     assert seedmap[10] == seedmap[20] and len(seedmap[10]) == 1
     node = seedmap[10][0]
-    assert node.testcase is tc and node.branch_cov == {1, 2} and node.cov_size == 2
+    assert node.testcase is tc and node.cov_size == 2
     assert hitmap == {10: 1, 20: 1}
     assert global_cov == {1, 2}
 
@@ -194,7 +194,7 @@ def test_preserve_appends_one_node_to_the_bucket_of_the_state_with_a_new_branch(
     assert added == [20]
     assert [n.testcase for n in seedmap[10]] == [old]
     assert [n.testcase for n in seedmap[20]] == [old, tc]
-    assert seedmap[20][1].branch_cov == {1, 2, 3}
+    assert seedmap[20][1].cov_size == 3
     assert global_cov == {1, 2, 3}
 
 

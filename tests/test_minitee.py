@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import struct
+import tracemalloc
 from random import Random
 
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from teefuzz import minitee
 from teefuzz.corpus_io import parse_program
 from teefuzz.minitee import (
+    CACHE_NODES,
+    DECODE_FRAMES,
     FAULT_MEM_OVERWRITE,
     FAULT_NULL_DEREF,
     FAULT_RESOURCE_EXHAUSTION,
@@ -526,3 +530,138 @@ def test_golden_feedback(templates, seed_corpus):
     assert codes & {minitee.RET_BAD_STATE, minitee.RET_BAD_HANDLE}
     assert codes - {minitee.RET_OK, minitee.RET_BAD_STATE, minitee.RET_BAD_HANDLE}
     assert digest.hexdigest() == GOLDEN_FEEDBACK_SHA256
+
+
+def test_golden_feedback_with_a_fresh_target_per_payload(templates, seed_corpus):
+    digest = hashlib.sha256()
+    for data in golden_payloads(templates, seed_corpus):
+        digest.update(feedback_record(MiniTee(1, templates).execute_payload(data)))
+    assert digest.hexdigest() == GOLDEN_FEEDBACK_SHA256
+
+
+# --- resuming from cached call prefixes -------------------------------------------
+
+
+def damaged(tc, rng):
+    """Payloads of `tc` damaged as golden_payloads damages them."""
+    i = rng.randrange(len(tc.calls))
+    call = tc.calls[i]
+    out = []
+    for args in (call.args[:-1], call.args + (ArgValue.scalar32(rng.getrandbits(32)),)):
+        out.append(serialize_payload(with_args(tc, i, args)))
+    data = bytearray(out[-1])
+    for _ in range(rng.randint(1, 3)):
+        data[rng.randrange(len(data))] = rng.getrandbits(8)
+    out.append(bytes(data))
+    out.append(bytes(data[: rng.randrange(len(data))]))
+    return out
+
+
+@pytest.fixture(scope="module")
+def payload_stream(templates, seed_corpus):
+    """20,000 distinct payloads in the order a campaign might submit them:
+    the bundled seeds and the deep MAC cases, then mutants of a growing
+    pool, which mostly keep a prefix of their parent's calls, generated
+    cases, and damaged variants of about one case in five."""
+    rng = Random(7)
+    deep = [MAC_SETUP + f"TEE_MACUpdate(r0, r4, {n})\n" for n in (64, 100_000)]
+    pool = list(seed_corpus) + [parse_program(text, templates) for text in deep]
+    stream, seen = [], set()
+
+    def add(data):
+        if data not in seen:
+            seen.add(data)
+            stream.append(data)
+
+    for tc in pool:
+        add(serialize_payload(tc))
+    while len(stream) < 20_000:
+        if rng.random() < 0.1:
+            tc = generate_testcase(templates, rng, 1 + rng.randrange(32))
+        else:
+            tc = mutate_testcase(rng.choice(pool), templates, rng, 32)
+        if rng.random() < 0.05:
+            pool.append(tc)
+        add(serialize_payload(tc))
+        if rng.random() < 0.2:
+            for data in damaged(tc, rng):
+                add(data)
+    return stream[:20_000]
+
+
+def test_a_warm_target_gives_what_a_fresh_one_gives(templates, payload_stream):
+    warm = MiniTee(1, templates)
+    decode_faults = mid_faults = 0
+    for data in payload_stream[:12_000]:
+        result = warm.execute_payload(data)
+        assert result == MiniTee(1, templates).execute_payload(data)
+        if result.fault is not None:
+            decode_faults += result.fault.frames == DECODE_FRAMES
+            mid_faults += result.fault.faulting_call_index > 0
+    assert decode_faults > 100 and mid_faults > 100
+    assert len(warm._cache) == CACHE_NODES
+
+
+def test_results_lists_are_the_callers_own(templates, seed_corpus):
+    sim = MiniTee(1, templates)
+    data = serialize_payload(seed_corpus[0])
+    fresh = MiniTee(1, templates).execute_payload(data)
+    for _ in range(3):
+        # the first run records the prefixes, the second caches them, and
+        # the third is served from the cache
+        result = sim.execute_payload(data)
+        assert result == fresh
+        for sr in result.per_syscall:
+            sr.trace.reverse()
+            sr.trace.append(sr.trace[0])
+            sr.snapshots.append(sr.snapshots[0] if sr.snapshots else None)
+    assert sim.execute_payload(data) == fresh
+
+
+def test_a_full_cache_holds_at_most_2_mb(templates, payload_stream):
+    sim = MiniTee(1, templates)
+    for data in payload_stream:
+        sim.execute_payload(data)
+    assert len(sim._cache) == CACHE_NODES
+    # refill the emptied cache under tracemalloc from the latest payloads,
+    # whose prefixes the target has seen
+    sim._cache.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for data in reversed(payload_stream):
+            sim.execute_payload(data)
+            if len(sim._cache) == CACHE_NODES:
+                break
+        sim.reset()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(sim._cache) == CACHE_NODES
+    held += len(sim._seen) * sim._seen.itemsize
+    assert held <= 2_000_000, held
+
+
+def test_a_shared_call_prefix_gives_the_same_calls(templates):
+    """Call i's result, noise included, depends on calls 0..i only; the
+    first call that differs, and every call after it, draws other noise."""
+    head = """r0 = TEE_AllocateOperation(0x70, 4, 1024)
+r1 = TEE_AllocateTransientObject(0xA1, 1024)
+"""
+    tails = [
+        "r2 = TEE_InitRefAttribute(0xC0, \"00112233\")\nTEE_Malloc(64, 1)\nTEE_Malloc(8, 0)\n",
+        "r2 = TEE_InitRefAttribute(0xC0, \"00112244\")\nTEE_Malloc(64, 1)\nTEE_Malloc(8, 0)\n",
+    ]
+    a, b = (exec_fresh(prog(templates, head + tail), seed=1) for tail in tails)
+    assert a.per_syscall[:2] == b.per_syscall[:2]
+    lo, hi = SECURE_RANGE
+    for x, y in zip(a.per_syscall[2:], b.per_syscall[2:]):
+        assert x.return_code == y.return_code
+        assert [p for p in x.trace if lo <= p.base_address <= hi] == [
+            p for p in y.trace if lo <= p.base_address <= hi
+        ]
+        # the operation's keyBuffer and the object's noise words
+        assert [s.data[24:40] for s in x.snapshots] != [s.data[24:40] for s in y.snapshots]
+        assert x.trace != y.trace

@@ -40,6 +40,18 @@ def test_roundtrip_10000_random_testcases(templates):
         assert deserialize_payload(serialize_payload(tc), templates) == tc
 
 
+def test_bounds_delimit_each_call_as_it_encodes_alone(templates):
+    rng = Random(2025)
+    for _ in range(1_000):
+        tc = generate_testcase(templates, rng, 12)
+        data, bounds = serialize_payload(tc), []
+        assert deserialize_payload(data, templates, bounds) == tc
+        assert bounds[0] == 7 and bounds[-1] == len(data) and len(bounds) == len(tc.calls) + 1
+        for i, call in enumerate(tc.calls):
+            alone = serialize_payload(TestCase((call,)))
+            assert data[bounds[i] : bounds[i + 1]] == alone[7:]
+
+
 def test_zero_length_buffer_encodes_length_zero_no_value(templates):
     attr = templates.by_name["TEE_InitRefAttribute"]
     tc = TestCase(

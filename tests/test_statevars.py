@@ -113,6 +113,13 @@ def test_every_other_logged_word_is_volatile(default_inference):
     assert min(others.values()) > VOLATILITY_THRESHOLD, others
 
 
+@pytest.mark.parametrize("trials", [1, 0])
+def test_fewer_than_two_trials_are_rejected(templates, trials):
+    # a region needs two trials whose final words differ
+    with pytest.raises(ValueError, match="trials must be >= 2"):
+        infer_state_vars({"operation": [12]}, templates, SimProbe(1, templates), trials)
+
+
 # --- volatility filter ------------------------------------------------------------
 
 
