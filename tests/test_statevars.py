@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 from random import Random
@@ -15,6 +16,7 @@ from teefuzz.minitee import (
     HandleSnapshot,
     SyscallResult,
 )
+from teefuzz.payload import serialize_payload
 from teefuzz.probe import SimProbe
 from teefuzz.statevars import (
     ABSENT_MARKER,
@@ -30,6 +32,7 @@ from teefuzz.statevars import (
     save_regions,
     sort_regions,
     state_hash_from_snapshots,
+    trial_grid,
 )
 from teefuzz.tracecov import fnv1a64
 
@@ -111,6 +114,21 @@ def test_every_other_logged_word_is_volatile(default_inference):
     others = {key: len(words) for key, words in distinct.items() if key not in truth}
     assert len(others) == (OP_HANDLE_SIZE + OBJ_HANDLE_SIZE) // 4 - len(truth)
     assert min(others.values()) > VOLATILITY_THRESHOLD, others
+
+
+# sha256 of each trial payload, per algorithm (AES-CBC, HMAC-SHA256) and
+# variant, at lifecycle depths 1, 5 and 9 calls
+TRIAL_PAYLOAD_SHA256 = [
+    "7f775ac611254d21", "29790470d0f7589b", "87009183850a0e64",
+    "c1c32a5077e2e31d", "c479c6313e17b50e", "dd48bee35cf9641c",
+    "170125a34137b933", "54df7bd692017bed", "5acd99c18228c2eb",
+    "170125a34137b933", "30ae5c11af221e4a", "190dc2576dbd54ed",
+]
+
+
+def test_trial_grid_payloads_are_pinned(templates):
+    got = [hashlib.sha256(serialize_payload(tc)).hexdigest()[:16] for tc in trial_grid(templates)]
+    assert got == TRIAL_PAYLOAD_SHA256
 
 
 @pytest.mark.parametrize("trials", [1, 0])
