@@ -110,7 +110,8 @@ def cmd_infer_state(args) -> int:
     )
     regions = statevars.infer_state_vars(candidates, templates, probe, cfg.infer_trials)
     if not regions:
-        print("error: inferred 0 regions; raise infer_budget or infer_trials", file=sys.stderr)
+        hint = f"raise infer_budget or infer_trials (up to {statevars.MAX_TRIALS})"
+        print(f"error: inferred 0 regions; {hint}", file=sys.stderr)
         return EXIT_ERROR
     statevars.save_regions(regions, cfg.regions_file)
     truth = set(GROUND_TRUTH_REGIONS)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .statevars import MAX_TRIALS
+
 MODES = ("composite", "coverage_only")
 
 
@@ -26,7 +28,7 @@ class CampaignConfig:
     volatility_threshold: int = 80
     out_dir: str = "out"
     infer_budget: int = 5_000
-    infer_trials: int = 12
+    infer_trials: int = MAX_TRIALS
     stats_every: int = 1_000
 
     def validate(self) -> None:
@@ -50,6 +52,8 @@ class CampaignConfig:
         if self.infer_trials < 2:
             # a region needs two trials whose final words differ
             raise ConfigError("infer_trials must be >= 2")
+        if self.infer_trials > MAX_TRIALS:
+            raise ConfigError(f"infer_trials must be <= {MAX_TRIALS}, the size of the trial grid")
         if self.stats_every < 1:
             raise ConfigError("stats_every must be >= 1")
 

@@ -4,10 +4,13 @@ The pipeline mirrors the handle-snapshot approach: run a coverage-only
 pre-fuzzing pass while logging handle buffers (in columns, as the log is
 what grows with the budget), drop four-byte words that behave like
 buffers or pointers (too many distinct values), then confirm the
-survivors by executing systematically varied crypto configurations and
-keeping the words that respond to configuration changes but stay
-repeatable run-to-run.  The combined value of the inferred regions over
-all live handles, hashed, is the state-coverage unit.
+survivors by running each of a grid of crypto configurations twice.  A
+word is confirmed when its final value differs between configurations
+and repeats across the two runs of every one; a word that differs
+between the runs, or whose handle is live in only one of them, is not.
+The state key is the inferred regions' bytes in the one live handle of
+each kind (a second live handle of a kind is an error); hashed, it is
+the state-coverage unit.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from random import Random
 from typing import NamedTuple
 
 from . import minitee
+from .corpus_io import parse_program
 from .payload import serialize_payload
 from .templates import TemplateSet
-from .testcase import ArgValue, Syscall, TestCase, generate_testcase, mutate_testcase
+from .testcase import TestCase, generate_testcase, mutate_testcase
 from .tracecov import coverage_of, fnv1a64
 
 log = logging.getLogger("teefuzz.statevars")
@@ -200,106 +204,51 @@ def filter_volatile(
 # --- active inference --------------------------------------------------------------
 
 
-def _trial_testcase(templates: TemplateSet, alg: int, variant: int, prefix: int) -> TestCase:
-    """One systematically varied crypto configuration.
+# One crypto configuration in the seed-program format, run down its
+# lifecycle: its first line allocates the operation, its first five also set
+# a key, and all nine also initialize it and feed it one update.
+TRIAL_PROGRAM = """\
+r0 = TEE_AllocateOperation({alg}, {mode}, 1024)
+r1 = TEE_AllocateTransientObject({key_type}, 1024)
+r2 = TEE_InitRefAttribute(0xC0, "{key}")
+TEE_PopulateTransientObject(r1, r2, {attr_count})
+TEE_SetOperationKey(r0, r1)
+r5 = TEE_MakeIV({iv_len}, 0)
+TEE_{family}Init(r0, r5)
+r7 = TEE_MakeChunk(32, 0xAB)
+TEE_{family}Update(r0, r7, 16)
+"""
 
-    The grid varies algorithm (cipher vs MAC), an operation variant (mode
-    for ciphers, key width for MACs) and how far down the lifecycle the
-    sequence runs: 1 = allocated, 2 = key set, 3 = initialized + one
-    update.
-    """
-    by_name = templates.by_name
-
-    def call(name: str, *args: ArgValue) -> Syscall:
-        return Syscall(by_name[name].ordinal, tuple(args))
-
-    is_mac = alg == minitee.ALG_HMAC_SHA256
-    mode = minitee.MODE_MAC if is_mac else (
-        minitee.MODE_ENCRYPT if variant == 0 else minitee.MODE_DECRYPT
-    )
-    key_len = (32 if variant else 16) if is_mac else 16
-    calls = [
-        call(
-            "TEE_AllocateOperation",
-            ArgValue.const_enum(alg),
-            ArgValue.const_enum(mode),
-            ArgValue.scalar32(1024),
-        )
-    ]
-    if prefix >= 2:
-        calls.append(
-            call(
-                "TEE_AllocateTransientObject",
-                ArgValue.const_enum(minitee.KEY_TYPE_FOR_ALG[alg]),
-                ArgValue.scalar32(1024),
-            )
-        )
-        calls.append(
-            call(
-                "TEE_InitRefAttribute",
-                ArgValue.const_enum(0xC0),
-                ArgValue.buffer(bytes(range(key_len))),
-            )
-        )
-        calls.append(
-            call(
-                "TEE_PopulateTransientObject",
-                ArgValue.resource_ref(1),
-                ArgValue.resource_ref(2),
-                ArgValue.scalar32(1 + variant),
-            )
-        )
-        calls.append(
-            call(
-                "TEE_SetOperationKey",
-                ArgValue.resource_ref(0),
-                ArgValue.resource_ref(1),
-            )
-        )
-    if prefix >= 3:
-        calls.append(
-            call(
-                "TEE_MakeIV",
-                ArgValue.scalar32(0 if is_mac else 16),
-                ArgValue.scalar32(0),
-            )
-        )
-        calls.append(
-            call(
-                "TEE_MACInit" if is_mac else "TEE_CipherInit",
-                ArgValue.resource_ref(0),
-                ArgValue.resource_ref(5),
-            )
-        )
-        calls.append(
-            call("TEE_MakeChunk", ArgValue.scalar32(32), ArgValue.scalar32(0xAB))
-        )
-        calls.append(
-            call(
-                "TEE_MACUpdate" if is_mac else "TEE_CipherUpdate",
-                ArgValue.resource_ref(0),
-                ArgValue.resource_ref(7),
-                ArgValue.scalar32(16),
-            )
-        )
-    return TestCase(tuple(calls))
+MAX_TRIALS = 12  # len(trial_grid(...))
 
 
 def trial_grid(templates: TemplateSet) -> list[TestCase]:
+    """The confirm trials: algorithm (cipher, MAC) x variant (mode for the
+    cipher, key width for the MAC) x lifecycle depth (1, 5 or 9 calls)."""
     grid = []
     for alg in (minitee.ALG_AES_CBC, minitee.ALG_HMAC_SHA256):
+        is_mac = alg == minitee.ALG_HMAC_SHA256
         for variant in (0, 1):
-            for prefix in (1, 2, 3):
-                grid.append(_trial_testcase(templates, alg, variant, prefix))
+            cipher_mode = minitee.MODE_DECRYPT if variant else minitee.MODE_ENCRYPT
+            lines = TRIAL_PROGRAM.format(
+                alg=alg,
+                mode=minitee.MODE_MAC if is_mac else cipher_mode,
+                key_type=minitee.KEY_TYPE_FOR_ALG[alg],
+                key=bytes(range(32 if is_mac and variant else 16)).hex(),
+                attr_count=1 + variant,
+                iv_len=0 if is_mac else 16,
+                family="MAC" if is_mac else "Cipher",
+            ).splitlines()
+            grid += [parse_program("\n".join(lines[:depth]), templates) for depth in (1, 5, 9)]
     return grid
 
 
-def _final_words(result, kind: str, offsets: list[int]) -> dict[int, bytes] | None:
-    """Word values at `offsets` in the last snapshot of `kind`, if any."""
+def _final_data(result, kind: str) -> bytes | None:
+    """The bytes of the last snapshot of `kind` in `result`, if any."""
     for sr in reversed(result.per_syscall):
         for snap in reversed(sr.snapshots):
             if snap.kind == kind:
-                return {off: snap.data[off : off + 4] for off in offsets}
+                return snap.data
     return None
 
 
@@ -307,44 +256,42 @@ def infer_state_vars(
     candidates: dict[str, list[int]],
     templates: TemplateSet,
     probe,
-    trials: int = 12,
+    trials: int = MAX_TRIALS,
 ) -> list[StateVarRegion]:
-    """Confirm candidates by running the varied-configuration trials.
+    """Confirm candidates by running the first `trials` (2..12) of the grid.
 
-    A candidate offset becomes a state-variable region iff its final value
-    differs between at least two trials while being identical across
-    repeated runs of the same trial, so one trial can never confirm one.
+    Each trial runs twice.  A candidate offset becomes a state-variable
+    region iff its final word differs between at least two trials and
+    repeats across the two runs of every trial: a word that differs
+    between the runs, or whose handle is live in one run only, is never
+    confirmed (on a real device such a word is a nonce or a counter).
     """
     if trials < 2:
+        # a region needs two trials whose final words differ
         raise ValueError("trials must be >= 2")
-    grid = trial_grid(templates)[:trials]
-    # per kind, per offset, the per-trial final words (None = handle absent
-    # in that trial, "unstable" = the two runs disagreed)
-    observed: dict[str, dict[int, list[bytes | None | str]]] = {
-        kind: {off: [] for off in offs} for kind, offs in candidates.items()
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be <= {MAX_TRIALS}, the size of the trial grid")
+    # (kind, offset) -> the final words across trials, or None once the two
+    # runs of a trial disagreed
+    seen: dict[tuple[str, int], set[bytes] | None] = {
+        (kind, off): set() for kind, offs in candidates.items() for off in offs
     }
-    for tc in grid:
+    for tc in trial_grid(templates)[:trials]:
         payload = serialize_payload(tc)
-        # two runs of each trial: on a real device a word that differs
-        # between identical runs (a nonce, a counter) is not state
-        runs = [probe.submit(payload), probe.submit(payload)]
+        runs = probe.submit(payload), probe.submit(payload)
         for kind, offs in candidates.items():
-            per_run = [_final_words(r, kind, offs) for r in runs]
+            first, second = (_final_data(r, kind) for r in runs)
             for off in offs:
-                words = [None if w is None else w[off] for w in per_run]
-                if any(w is not None and w != words[0] for w in words):
-                    observed[kind][off].append("unstable")
-                else:
-                    observed[kind][off].append(words[0])
-    regions = []
-    for kind in sorted(observed):
-        for off, per_trial in sorted(observed[kind].items()):
-            if any(w == "unstable" for w in per_trial):
-                continue
-            values = {w for w in per_trial if w is not None}
-            if len(values) >= 2:
-                regions.append(StateVarRegion(kind, off, 4))
-    return regions
+                word = None if first is None else first[off : off + 4]
+                if word != (None if second is None else second[off : off + 4]):
+                    seen[kind, off] = None
+                elif word is not None and seen[kind, off] is not None:
+                    seen[kind, off].add(word)
+    return [
+        StateVarRegion(kind, off, 4)
+        for (kind, off), words in sorted(seen.items())
+        if words is not None and len(words) >= 2
+    ]
 
 
 # --- state hashing ----------------------------------------------------------------
@@ -358,12 +305,12 @@ class CompiledRegions:
     """Sorted state regions compiled once per campaign for per-call keys.
 
     The state key concatenates, in (kind, offset) order, each region's bytes
-    in every live handle of its kind, or the absent marker when the kind
-    has no live handle.  Per kind this keeps the per-region (off, end)
-    list, the runs of adjacent regions merged, and the absent bytes.  A
-    kind with one live handle costs one slice per run; several handles of
-    a kind fall back to region-major order.  `hashes` caches key -> hash
-    for this campaign only.
+    in the live handle of its kind, or the absent marker when the kind has
+    no live handle.  Per kind this keeps the runs of adjacent regions
+    merged and the absent bytes, so a key costs one slice per run.  A
+    target holds at most one live handle per kind (MiniTEE's
+    `MAX_LIVE_HANDLES`), and `key` raises ValueError on a second one.
+    `hashes` caches key -> hash for this campaign only.
     """
 
     def __init__(self, regions: list[StateVarRegion]):
@@ -379,35 +326,23 @@ class CompiledRegions:
                     runs[-1] = (runs[-1][0], end)
                 else:
                     runs.append((off, end))
-            self.kinds.append((kind, spans, runs, ABSENT_MARKER * len(spans)))
+            self.kinds.append((kind, runs, ABSENT_MARKER * len(spans)))
 
     def key(self, snapshots) -> bytes:
         """State key of one call's live-handle snapshots (allocation order)."""
         parts = []
-        for kind, _, runs, absent in self.kinds:
+        for kind, runs, absent in self.kinds:
             data = None
             for snap in snapshots:
                 if snap[1] == kind:
                     if data is not None:
-                        return self._region_major_key(snapshots)
+                        raise ValueError(f"a state key takes one live {kind} handle, got several")
                     data = snap[2]
             if data is None:
                 parts.append(absent)
             else:
                 for off, end in runs:
                     parts.append(data[off:end])
-        return b"".join(parts)
-
-    def _region_major_key(self, snapshots) -> bytes:
-        """The key when a kind has several live handles: per region, its
-        bytes in each handle of the kind."""
-        parts = []
-        for kind, spans, _, absent in self.kinds:
-            datas = [snap[2] for snap in snapshots if snap[1] == kind]
-            if not datas:
-                parts.append(absent)
-            else:
-                parts += [data[off:end] for off, end in spans for data in datas]
         return b"".join(parts)
 
 

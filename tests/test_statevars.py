@@ -20,6 +20,7 @@ from teefuzz.payload import serialize_payload
 from teefuzz.probe import SimProbe
 from teefuzz.statevars import (
     ABSENT_MARKER,
+    MAX_TRIALS,
     VOLATILITY_THRESHOLD,
     CompiledRegions,
     HandleSnapshotLog,
@@ -131,11 +132,57 @@ def test_trial_grid_payloads_are_pinned(templates):
     assert got == TRIAL_PAYLOAD_SHA256
 
 
-@pytest.mark.parametrize("trials", [1, 0])
+@pytest.mark.parametrize("trials", [1, 0, 13])
 def test_fewer_than_two_trials_are_rejected(templates, trials):
-    # a region needs two trials whose final words differ
-    with pytest.raises(ValueError, match="trials must be >= 2"):
+    # a region needs two trials whose final words differ; the grid holds 12
+    assert len(trial_grid(templates)) == MAX_TRIALS == 12
+    bound = ">= 2" if trials < 2 else f"<= {MAX_TRIALS}"
+    with pytest.raises(ValueError, match=f"trials must be {bound}"):
         infer_state_vars({"operation": [12]}, templates, SimProbe(1, templates), trials)
+
+
+class UnrepeatableProbe:
+    """A probe whose second run of trial `reworded` reads `word` at
+    `offset` of the operation handle, and whose second run of trial
+    `dropped` holds no object handle."""
+
+    def __init__(self, probe, reworded: int, offset: int, word: bytes, dropped: int):
+        self.probe, self.submissions = probe, 0
+        self.reworded, self.offset, self.word, self.dropped = reworded, offset, word, dropped
+
+    def submit(self, payload):
+        result = self.probe.submit(payload)
+        trial, run = divmod(self.submissions, 2)
+        self.submissions += 1
+        if run == 0 or trial not in (self.reworded, self.dropped):
+            return result
+        per_syscall = []
+        for sr in result.per_syscall:
+            snaps = []
+            for snap in sr.snapshots:
+                if trial == self.dropped and snap.kind == "object":
+                    continue
+                if trial == self.reworded and snap.kind == "operation":
+                    end = self.offset + 4
+                    snap = snap._replace(data=snap.data[: self.offset] + self.word + snap.data[end:])
+                snaps.append(snap)
+            per_syscall.append(sr._replace(snapshots=snaps))
+        return result._replace(per_syscall=per_syscall)
+
+
+def test_a_word_that_does_not_repeat_is_never_confirmed(templates):
+    # operation 12 and 16 and object 0 all vary across trials and repeat
+    candidates = {"object": [0], "operation": [12, 16]}
+    assert infer_state_vars(candidates, templates, SimProbe(1, templates)) == [
+        StateVarRegion("object", 0),
+        StateVarRegion("operation", 12),
+        StateVarRegion("operation", 16),
+    ]
+    # trials 5 (a decrypting cipher) and 8 (a MAC) run to their update, so
+    # both hold both handles
+    probe = UnrepeatableProbe(SimProbe(1, templates), 5, 12, b"\xee" * 4, 8)
+    assert infer_state_vars(candidates, templates, probe) == [StateVarRegion("operation", 16)]
+    assert probe.submissions == 2 * MAX_TRIALS
 
 
 # --- volatility filter ------------------------------------------------------------
@@ -331,6 +378,12 @@ def snapshots_st(draw):
 @given(st.lists(region_st, max_size=8), snapshots_st())
 def test_compiled_key_equals_the_per_region_oracle(regions, snapshots):
     compiled = CompiledRegions(regions)
+    kinds = [snap.kind for snap in snapshots]
+    if any(kinds.count(r.handle_kind) > 1 for r in regions):
+        # a target holds at most one live handle per kind
+        with pytest.raises(ValueError, match="one live"):
+            compiled.key(snapshots)
+        return
     want = state_key_from_snapshots(sort_regions(regions), snapshots)
     assert compiled.key(snapshots) == want
     assert state_hash_from_snapshots(compiled, snapshots) == fnv1a64(want)
@@ -343,7 +396,7 @@ def test_empty_state_hash_is_the_compiled_hash_of_no_snapshots(regions):
 
 def test_ground_truth_regions_compile_to_one_run_per_kind():
     compiled = CompiledRegions([StateVarRegion(k, off, 4) for k, off in GROUND_TRUTH_REGIONS])
-    assert [(kind, runs) for kind, _, runs, _ in compiled.kinds] == [
+    assert [(kind, runs) for kind, runs, _ in compiled.kinds] == [
         ("object", [(0, 16)]),
         ("operation", [(0, 24)]),
     ]
