@@ -105,13 +105,10 @@ def cmd_infer_state(args) -> int:
     if not logbook:
         print(f"error: no handle was ever live (executions: {cfg.infer_budget})", file=sys.stderr)
         return EXIT_ERROR
-    candidates = statevars.filter_volatile(
-        logbook, cfg.volatility_threshold, cfg.volatility_metric
-    )
-    regions = statevars.infer_state_vars(candidates, templates, probe, cfg.infer_trials)
+    candidates = statevars.filter_volatile(logbook, cfg.volatility_threshold)
+    regions = statevars.infer_state_vars(candidates, templates, probe)
     if not regions:
-        hint = f"raise infer_budget or infer_trials (up to {statevars.MAX_TRIALS})"
-        print(f"error: inferred 0 regions; {hint}", file=sys.stderr)
+        print("error: inferred 0 regions; raise infer_budget", file=sys.stderr)
         return EXIT_ERROR
     statevars.save_regions(regions, cfg.regions_file)
     truth = set(GROUND_TRUTH_REGIONS)

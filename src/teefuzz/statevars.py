@@ -2,15 +2,15 @@
 
 The pipeline mirrors the handle-snapshot approach: run a coverage-only
 pre-fuzzing pass while logging handle buffers (in columns, as the log is
-what grows with the budget), drop four-byte words that behave like
-buffers or pointers (too many distinct values), then confirm the
-survivors by running each of a grid of crypto configurations twice.  A
-word is confirmed when its final value differs between configurations
-and repeats across the two runs of every one; a word that differs
-between the runs, or whose handle is live in only one of them, is not.
-The state key is the inferred regions' bytes in the one live handle of
-each kind (a second live handle of a kind is an error); hashed, it is
-the state-coverage unit.
+what grows with the budget), drop four-byte words that take more distinct
+values than the volatility threshold (buffers and pointers), then confirm
+the survivors by running each distinct program of a fixed grid of crypto
+configurations twice.  A word is confirmed when its final value differs
+between configurations and repeats across the two runs of every one; a
+word that differs between the runs, or whose handle is live in only one
+of them, is not.  The state key is the inferred regions' bytes in the one
+live handle of each kind (a second live handle of a kind is an error);
+hashed, it is the state-coverage unit.
 """
 
 from __future__ import annotations
@@ -151,51 +151,37 @@ def filter_volatile(
 ) -> dict[str, list[int]]:
     """Candidate four-byte offsets per handle kind.
 
-    An offset is excluded when its churn exceeds `threshold`; what counts
-    as churn is the `volatility_metric` switch: "distinct" counts distinct
-    observed words (the default reading), "occurrences" counts how many
-    times the word changed between consecutive snapshots of the kind.
-    A kind's offsets span its first snapshot.
+    An offset is excluded when it takes more than `threshold` distinct
+    words over the log.  A kind's offsets span its first snapshot.
 
-    Churn only grows as entries are read, so an offset is dropped, and
+    The count only grows as entries are read, so an offset is dropped, and
     never read again, the moment it passes `threshold`: the result is the
     one counting the whole log would give, and each offset holds at most
     `threshold + 1` words.
     """
     if not logbook:
         raise ValueError("empty snapshot log")
-    if metric not in ("distinct", "occurrences"):
+    # `metric` is kept only because bench/worker.py:96 passes
+    # `cfg.volatility_metric`; it goes with the next benchmark change.
+    if metric != "distinct":
         raise ValueError(f"unknown volatility metric '{metric}'")
     if threshold < 0:
         raise ValueError(f"volatility threshold must be >= 0, got {threshold}")
-    distinct = metric == "distinct"
-    # per kind, each offset still at or under the threshold with its churn
-    # so far: the set of words seen, or [last word, changes]
-    live: list[dict[int, set[bytes] | list] | None] = [None] * len(logbook.kinds)
+    # per kind, each offset still at or under the threshold with the words
+    # seen at it so far
+    live: list[dict[int, set[bytes]] | None] = [None] * len(logbook.kinds)
     start = 0
     with memoryview(logbook.data) as view:
         for end, row in zip(logbook.ends, logbook.rows):
             data, start = view[start:end].tobytes(), end
             offs = live[row & 0xFF]
             if offs is None:
-                offs = live[row & 0xFF] = {
-                    off: set() if distinct else [data[off : off + 4], 0]
-                    for off in range(0, len(data), 4)
-                }
+                offs = live[row & 0xFF] = {off: set() for off in range(0, len(data), 4)}
             gone = []
-            if distinct:
-                for off, words in offs.items():
-                    words.add(data[off : off + 4])
-                    if len(words) > threshold:
-                        gone.append(off)
-            else:
-                for off, seen in offs.items():
-                    word = data[off : off + 4]
-                    if word != seen[0]:
-                        seen[0] = word
-                        seen[1] += 1
-                        if seen[1] > threshold:
-                            gone.append(off)
+            for off, words in offs.items():
+                words.add(data[off : off + 4])
+                if len(words) > threshold:
+                    gone.append(off)
             for off in gone:
                 del offs[off]
     return {kind: list(live[i]) for kind, i in sorted(logbook.kinds.items())}
@@ -219,13 +205,15 @@ r7 = TEE_MakeChunk(32, 0xAB)
 TEE_{family}Update(r0, r7, 16)
 """
 
-MAX_TRIALS = 12  # len(trial_grid(...))
+MAX_TRIALS = 11  # len(trial_grid(...))
 
 
 def trial_grid(templates: TemplateSet) -> list[TestCase]:
     """The confirm trials: algorithm (cipher, MAC) x variant (mode for the
-    cipher, key width for the MAC) x lifecycle depth (1, 5 or 9 calls)."""
-    grid = []
+    cipher, key width for the MAC) x lifecycle depth (1, 5 or 9 calls),
+    each distinct payload once.  The one-call MAC programs are the same
+    payload, as the first call carries no key, so the grid holds 11."""
+    grid: dict[bytes, TestCase] = {}
     for alg in (minitee.ALG_AES_CBC, minitee.ALG_HMAC_SHA256):
         is_mac = alg == minitee.ALG_HMAC_SHA256
         for variant in (0, 1):
@@ -239,8 +227,10 @@ def trial_grid(templates: TemplateSet) -> list[TestCase]:
                 iv_len=0 if is_mac else 16,
                 family="MAC" if is_mac else "Cipher",
             ).splitlines()
-            grid += [parse_program("\n".join(lines[:depth]), templates) for depth in (1, 5, 9)]
-    return grid
+            for depth in (1, 5, 9):
+                tc = parse_program("\n".join(lines[:depth]), templates)
+                grid.setdefault(serialize_payload(tc), tc)
+    return list(grid.values())
 
 
 def _final_data(result, kind: str) -> bytes | None:
@@ -258,26 +248,24 @@ def infer_state_vars(
     probe,
     trials: int = MAX_TRIALS,
 ) -> list[StateVarRegion]:
-    """Confirm candidates by running the first `trials` (2..12) of the grid.
+    """Confirm candidates by running each trial of the grid twice.
 
-    Each trial runs twice.  A candidate offset becomes a state-variable
-    region iff its final word differs between at least two trials and
-    repeats across the two runs of every trial: a word that differs
-    between the runs, or whose handle is live in one run only, is never
-    confirmed (on a real device such a word is a nonce or a counter).
+    A candidate offset becomes a state-variable region iff its final word
+    differs between at least two trials and repeats across the two runs of
+    every trial: a word that differs between the runs, or whose handle is
+    live in one run only, is never confirmed (on a real device such a word
+    is a nonce or a counter).
     """
-    if trials < 2:
-        # a region needs two trials whose final words differ
-        raise ValueError("trials must be >= 2")
-    if trials > MAX_TRIALS:
-        raise ValueError(f"trials must be <= {MAX_TRIALS}, the size of the trial grid")
+    # `trials` is kept only because bench/worker.py:98 passes
+    # `cfg.infer_trials`; it goes with the next benchmark change.
+    if trials != MAX_TRIALS:
+        raise ValueError(f"trials must be {MAX_TRIALS}, the size of the trial grid")
     # (kind, offset) -> the final words across trials, or None once the two
     # runs of a trial disagreed
     seen: dict[tuple[str, int], set[bytes] | None] = {
         (kind, off): set() for kind, offs in candidates.items() for off in offs
     }
-    for tc in trial_grid(templates)[:trials]:
-        payload = serialize_payload(tc)
+    for payload in map(serialize_payload, trial_grid(templates)):
         runs = probe.submit(payload), probe.submit(payload)
         for kind, offs in candidates.items():
             first, second = (_final_data(r, kind) for r in runs)

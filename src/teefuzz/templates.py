@@ -86,10 +86,6 @@ class TemplateSet:
     def producers_of(self, kind: str) -> list[SyscallTemplate]:
         return [t for t in self.templates if t.produces_resource == kind]
 
-    @property
-    def helpers(self) -> list[SyscallTemplate]:
-        return [t for t in self.templates if t.is_helper]
-
 
 _LINE_RE = re.compile(
     r"^(?P<name>[A-Za-z_]\w*)\s*\((?P<params>[^)]*)\)"

@@ -35,8 +35,9 @@ class TracePacket(NamedTuple):
     bits: int
 
 
-def fnv1a64(data: bytes, h: int = FNV64_OFFSET) -> int:
-    """64-bit FNV-1a over `data`, optionally chained from a prior hash."""
+def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a over `data`."""
+    h = FNV64_OFFSET
     for b in data:
         h = ((h ^ b) * FNV64_PRIME) & _MASK64
     return h

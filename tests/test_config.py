@@ -1,7 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
-from teefuzz.config import ConfigError, parse_config
-from teefuzz.statevars import MAX_TRIALS
+from teefuzz.config import CampaignConfig, ConfigError, parse_config
 
 
 def test_state_only_mode_is_rejected_naming_both_modes():
@@ -22,11 +23,18 @@ def test_negative_volatility_threshold_is_rejected():
     assert parse_config("volatility_threshold = 0\n").volatility_threshold == 0
 
 
-@pytest.mark.parametrize("value", ["1", "0", "13"])
-def test_fewer_than_two_infer_trials_are_rejected(value):
-    # and more than the trial grid holds, which would be silently capped
-    bound = ">= 2" if int(value) < 2 else f"<= {MAX_TRIALS}"
-    with pytest.raises(ConfigError, match=f"infer_trials must be {bound}"):
-        parse_config(f"infer_trials = {value}\n")
-    assert parse_config("infer_trials = 2\n").infer_trials == 2
-    assert parse_config(f"infer_trials = {MAX_TRIALS}\n").infer_trials == MAX_TRIALS
+@pytest.mark.parametrize("line", ["volatility_metric = occurrences", "infer_trials = 12"])
+def test_removed_inference_keys_are_unknown(line):
+    # inference always counts distinct words and runs the whole trial grid
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match=f"^line 1: unknown key '{key}'$"):
+        parse_config(f"{line}\n")
+
+
+def test_settable_keys_are_pinned():
+    # a new knob needs a deliberate edit here
+    assert {f.name for f in fields(CampaignConfig)} == {
+        "budget", "p_gen", "max_len", "mode", "campaign_seed", "regions_file",
+        "templates_file", "corpus_dir", "volatility_threshold", "out_dir",
+        "infer_budget", "stats_every",
+    }

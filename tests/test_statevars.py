@@ -118,12 +118,13 @@ def test_every_other_logged_word_is_volatile(default_inference):
 
 
 # sha256 of each trial payload, per algorithm (AES-CBC, HMAC-SHA256) and
-# variant, at lifecycle depths 1, 5 and 9 calls
+# variant, at lifecycle depths 1, 5 and 9 calls; the second HMAC variant
+# has no one-call payload of its own
 TRIAL_PAYLOAD_SHA256 = [
     "7f775ac611254d21", "29790470d0f7589b", "87009183850a0e64",
     "c1c32a5077e2e31d", "c479c6313e17b50e", "dd48bee35cf9641c",
     "170125a34137b933", "54df7bd692017bed", "5acd99c18228c2eb",
-    "170125a34137b933", "30ae5c11af221e4a", "190dc2576dbd54ed",
+    "30ae5c11af221e4a", "190dc2576dbd54ed",
 ]
 
 
@@ -132,12 +133,14 @@ def test_trial_grid_payloads_are_pinned(templates):
     assert got == TRIAL_PAYLOAD_SHA256
 
 
-@pytest.mark.parametrize("trials", [1, 0, 13])
-def test_fewer_than_two_trials_are_rejected(templates, trials):
-    # a region needs two trials whose final words differ; the grid holds 12
-    assert len(trial_grid(templates)) == MAX_TRIALS == 12
-    bound = ">= 2" if trials < 2 else f"<= {MAX_TRIALS}"
-    with pytest.raises(ValueError, match=f"trials must be {bound}"):
+def test_trial_grid_holds_each_program_once(templates):
+    payloads = [serialize_payload(tc) for tc in trial_grid(templates)]
+    assert len(set(payloads)) == len(payloads) == MAX_TRIALS == 11
+
+
+@pytest.mark.parametrize("trials", [1, 2, 10, 12])
+def test_trials_other_than_the_whole_grid_are_rejected(templates, trials):
+    with pytest.raises(ValueError, match=f"trials must be {MAX_TRIALS}, the size"):
         infer_state_vars({"operation": [12]}, templates, SimProbe(1, templates), trials)
 
 
@@ -188,31 +191,21 @@ def test_a_word_that_does_not_repeat_is_never_confirmed(templates):
 # --- volatility filter ------------------------------------------------------------
 
 
-def unbounded_churn(logbook, metric) -> dict[str, list[int]]:
+def unbounded_churn(logbook) -> dict[str, list[int]]:
     """Reference churn of every offset over the whole log, per kind in
-    sorted order: distinct words, or changes between consecutive snapshots
-    of the kind.  Nothing is dropped early, so memory grows with the log."""
+    sorted order: its distinct words.  Nothing is dropped early, so memory
+    grows with the log."""
     sizes: dict[str, int] = {}
     for e in logbook.entries:
         sizes.setdefault(e.handle_kind, len(e.data))
-    counters: dict[tuple[str, int], set[bytes] | int] = {}
-    last_seen: dict[tuple[str, int], bytes] = {}
+    words: dict[tuple[str, int], set[bytes]] = {}
     for e in logbook.entries:
         for off in range(0, sizes[e.handle_kind], 4):
-            key = (e.handle_kind, off)
-            word = e.data[off : off + 4]
-            if metric == "distinct":
-                counters.setdefault(key, set()).add(word)
-            else:
-                prev = last_seen.get(key)
-                if prev is not None and prev != word:
-                    counters[key] = counters.get(key, 0) + 1
-                last_seen[key] = word
-    churn = {}
-    for kind, size in sorted(sizes.items()):
-        counts = [counters.get((kind, off)) for off in range(0, size, 4)]
-        churn[kind] = [len(c) if isinstance(c, set) else (c or 0) for c in counts]
-    return churn
+            words.setdefault((e.handle_kind, off), set()).add(e.data[off : off + 4])
+    return {
+        kind: [len(words[kind, off]) for off in range(0, size, 4)]
+        for kind, size in sorted(sizes.items())
+    }
 
 
 def unbounded_filter(churn: dict[str, list[int]], threshold: int) -> dict[str, list[int]]:
@@ -266,10 +259,11 @@ def test_the_log_reads_back_every_snapshot_the_probe_returned(recorded_logbooks)
         assert list(HandleSnapshotLog(logbook.entries).entries) == rows, key
 
 
-@pytest.mark.parametrize("metric", ["distinct", "occurrences"])
+# "distinct" is the one volatility metric; `filter_volatile` still takes it
+@pytest.mark.parametrize("metric", ["distinct"])
 def test_bounded_filter_equals_the_unbounded_reference(logbooks, metric):
     for (seed, budget), logbook in logbooks.items():
-        churn = unbounded_churn(logbook, metric)
+        churn = unbounded_churn(logbook)
         for threshold in (0, 1, 2, 80, 81, 10**6):
             want = unbounded_filter(churn, threshold)
             got = filter_volatile(logbook, threshold, metric)
@@ -277,7 +271,7 @@ def test_bounded_filter_equals_the_unbounded_reference(logbooks, metric):
             assert list(got.items()) == list(want.items()), where
 
 
-@pytest.mark.parametrize("metric", ["distinct", "occurrences"])
+@pytest.mark.parametrize("metric", ["distinct"])
 def test_filter_memory_is_bounded_by_the_threshold(metric):
     """20,000 snapshots whose last twelve words are noise: the filter holds
     at most threshold + 1 words per offset, not one per snapshot."""
@@ -319,11 +313,17 @@ def test_the_log_holds_its_rows_in_columns():
     assert len(logbook.entries) == 20_000
 
 
-@pytest.mark.parametrize("metric", ["distinct", "occurrences"])
+@pytest.mark.parametrize("metric", ["distinct"])
 def test_negative_threshold_is_rejected(metric):
     logbook = HandleSnapshotLog([SnapshotEntry(0, 0, "operation", bytes(OP_HANDLE_SIZE))])
     with pytest.raises(ValueError, match="threshold"):
         filter_volatile(logbook, -1, metric)
+
+
+def test_the_occurrences_metric_is_rejected():
+    logbook = HandleSnapshotLog([SnapshotEntry(0, 0, "operation", bytes(OP_HANDLE_SIZE))])
+    with pytest.raises(ValueError, match="unknown volatility metric 'occurrences'"):
+        filter_volatile(logbook, VOLATILITY_THRESHOLD, "occurrences")
 
 
 # --- state keys -------------------------------------------------------------------

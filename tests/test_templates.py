@@ -10,7 +10,7 @@ from teefuzz.templates import (
 
 def test_bundled_file_has_22_templates_with_4_helpers(templates):
     assert len(templates) == 22
-    assert len(templates.helpers) == 4
+    assert len([t for t in templates if t.is_helper]) == 4
     assert [t.ordinal for t in templates] == list(range(22))
 
 
