@@ -9,7 +9,7 @@ from teefuzz.fuzzing import FuzzCampaign, SeedNode, crash_id_of, preserve
 from teefuzz.minitee import GROUND_TRUTH_REGIONS, ExecutionResult, FaultRecord
 from teefuzz.probe import SimProbe
 from teefuzz.statevars import StateVarRegion
-from teefuzz.stt import build_stt
+from teefuzz.stt import build_stt, to_dot
 from test_statevars import empty_state_hash
 
 REGIONS = [StateVarRegion(kind, off, 4) for kind, off in GROUND_TRUTH_REGIONS]
@@ -323,6 +323,8 @@ GOLDEN = {
 }
 GOLDEN_STT_NODES = 48
 GOLDEN_STT_SHA256 = "f627e4bfe9b17ec9d47bac0688c5e15799fd7c24a76fe79c627eef4e0b8563f7"
+GOLDEN_STT_EDGES = 61
+GOLDEN_STT_DOT_SHA256 = "cad1e0830bba0d2eb3b8bcfe98aff02d966daa6f2126cfe024eee04f4ee5db41"
 
 
 @pytest.mark.parametrize("mode", sorted(GOLDEN))
@@ -342,3 +344,11 @@ def test_golden_stt_nodes(templates, seed_corpus):
     assert tree.nodes[0] == empty_state_hash(REGIONS)
     assert len(tree.nodes) == GOLDEN_STT_NODES
     assert hashlib.sha256(repr(tree.nodes).encode()).hexdigest() == GOLDEN_STT_SHA256
+
+
+def test_golden_stt_dot(templates, seed_corpus):
+    """Edges too: the DOT text of the bundled seeds' tree, byte for byte."""
+    tree = build_stt(seed_corpus, SimProbe(1, templates), REGIONS, templates)
+    assert len(tree.edges) == GOLDEN_STT_EDGES
+    dot = to_dot(tree)
+    assert hashlib.sha256(dot.encode()).hexdigest() == GOLDEN_STT_DOT_SHA256
