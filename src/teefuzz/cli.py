@@ -124,11 +124,7 @@ def cmd_infer_state(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    try:
-        payload = Path(args.payload).read_bytes()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
+    payload = Path(args.payload).read_bytes()
     try:
         templates = _load_templates(args.templates)
         regions = statevars.load_regions(args.regions) if args.regions else []
@@ -185,11 +181,7 @@ def cmd_stt_export(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    try:
-        lines = Path(args.stats).read_text().splitlines()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
+    lines = Path(args.stats).read_text().splitlines()
     rows = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -251,7 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as e:  # reading a payload or stats file, or writing any output
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import ClassVar
 
-from .statevars import MAX_TRIALS
+from .statevars import MAX_TRIALS, VOLATILITY_THRESHOLD
+from .testcase import DEFAULT_MAX_LEN
 
 MODES = ("composite", "coverage_only")
 
@@ -19,13 +20,13 @@ class ConfigError(Exception):
 class CampaignConfig:
     budget: int = 50_000
     p_gen: float = 0.1
-    max_len: int = 64
+    max_len: int = DEFAULT_MAX_LEN
     mode: str = "composite"
     campaign_seed: int = 1
     regions_file: str = ""
     templates_file: str = ""          # empty = bundled MiniTEE templates
     corpus_dir: str = ""              # empty = bundled seed corpus
-    volatility_threshold: int = 80
+    volatility_threshold: int = VOLATILITY_THRESHOLD
     out_dir: str = "out"
     infer_budget: int = 5_000
     stats_every: int = 1_000

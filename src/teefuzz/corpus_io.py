@@ -17,8 +17,8 @@ import logging
 import re
 from pathlib import Path
 
-from .templates import ParamKind, TemplateSet
-from .testcase import ArgKind, ArgValue, Syscall, TestCase, validate_testcase
+from .templates import U32_MAX, U64_MAX, ArgKind, TemplateSet
+from .testcase import DEFAULT_MAX_LEN, ArgValue, Syscall, TestCase, validate_testcase
 
 log = logging.getLogger("teefuzz.corpus")
 
@@ -63,13 +63,13 @@ def parse_program(text: str, templates: TemplateSet) -> TestCase:
             )
         args = []
         for token, spec in zip(tokens, t.params):
-            if spec.kind is ParamKind.RESOURCE:
+            if spec.kind is ArgKind.RESOURCE_REF:
                 if token not in var_to_call:
                     raise ProgramParseError(
                         f"resource variable '{token}' never defined", lineno
                     )
                 args.append(ArgValue.resource_ref(var_to_call[token]))
-            elif spec.kind is ParamKind.BUFFER:
+            elif spec.kind is ArgKind.BUFFER:
                 if not (token.startswith('"') and token.endswith('"')):
                     raise ProgramParseError(
                         f"buffer arg must be \"hexbytes\", got {token}", lineno
@@ -84,12 +84,8 @@ def parse_program(text: str, templates: TemplateSet) -> TestCase:
                     value = int(token, 0)
                 except ValueError:
                     raise ProgramParseError(f"bad integer '{token}'", lineno)
-                if spec.kind is ParamKind.SCALAR64:
-                    args.append(ArgValue.scalar64(value))
-                elif spec.kind is ParamKind.CONST_ENUM:
-                    args.append(ArgValue.const_enum(value))
-                else:
-                    args.append(ArgValue.scalar32(value))
+                mask = U64_MAX if spec.kind is ArgKind.SCALAR64 else U32_MAX
+                args.append(ArgValue(spec.kind, value & mask))
         var = m.group("var")
         if var is not None:
             var_to_call[var] = len(calls)
@@ -118,7 +114,7 @@ def format_program(tc: TestCase, templates: TemplateSet) -> str:
 
 
 def load_seed_corpus(
-    path: str | Path, templates: TemplateSet, max_len: int = 64
+    path: str | Path, templates: TemplateSet, max_len: int = DEFAULT_MAX_LEN
 ) -> list[TestCase]:
     """Parse and validate every seed file under `path`.
 

@@ -132,9 +132,6 @@ class SeedSelector:
         self._tree: list[float] = [0.0]  # 1-based
         self._bucket_cov: dict[int, int] = {}
 
-    def __len__(self):
-        return len(self._states)
-
     # Fenwick plumbing ----------------------------------------------------
 
     def _prefix(self, i: int) -> float:

@@ -39,8 +39,7 @@ from collections import OrderedDict
 from typing import NamedTuple
 
 from .payload import PayloadError, deserialize_payload
-from .templates import TemplateSet, load_bundled_templates
-from .testcase import ArgKind
+from .templates import ArgKind, TemplateSet, load_bundled_templates
 from .tracecov import NOISE_RANGE, SECURE_RANGE, TracePacket
 
 _M64 = 0xFFFFFFFFFFFFFFFF

@@ -8,7 +8,7 @@ Wire format (all multi-byte integers little-endian):
     per call:
         ordinal   u16
         arg count u8
-        per arg:  tag u8, then value
+        per arg:  tag u8 (the arg's `ArgKind` value), then value
             tag 0 scalar32     4 bytes
             tag 1 scalar64     8 bytes
             tag 2 buffer       u16 length + bytes
@@ -27,8 +27,8 @@ from __future__ import annotations
 import struct
 from enum import Enum
 
-from .templates import TemplateSet
-from .testcase import ArgKind, ArgValue, Syscall, TestCase
+from .templates import ArgKind, TemplateSet
+from .testcase import ArgValue, Syscall, TestCase
 
 MAGIC = b"\x53\x5a\x54\x52"
 VERSION = 1

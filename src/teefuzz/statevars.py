@@ -26,7 +26,7 @@ from . import minitee
 from .corpus_io import parse_program
 from .payload import serialize_payload
 from .templates import TemplateSet
-from .testcase import TestCase, generate_testcase, mutate_testcase
+from .testcase import DEFAULT_MAX_LEN, TestCase, generate_testcase, mutate_testcase
 from .tracecov import coverage_of, fnv1a64
 
 log = logging.getLogger("teefuzz.statevars")
@@ -102,7 +102,7 @@ def collect_snapshots(
     probe,
     templates: TemplateSet,
     rng: Random,
-    max_len: int = 64,
+    max_len: int = DEFAULT_MAX_LEN,
 ) -> HandleSnapshotLog:
     """Coverage-only fuzzing for `budget` executions, logging every buffer.
 

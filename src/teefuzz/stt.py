@@ -8,8 +8,8 @@ before any call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .payload import serialize_payload
 from .statevars import CompiledRegions, StateVarRegion, state_hash_from_snapshots
@@ -17,26 +17,10 @@ from .templates import TemplateSet
 from .testcase import TestCase
 
 
-@dataclass
-class TransitionTree:
+class TransitionTree(NamedTuple):
     root: int
-    nodes: list[int] = field(default_factory=list)          # first-seen order
-    edges: list[tuple[int, int, str]] = field(default_factory=list)
-    _edge_set: set[tuple[int, int, str]] = field(default_factory=set)
-
-    def add_edge(self, src: int, dst: int, label: str) -> None:
-        for s in (src, dst):
-            if s not in self._seen:
-                self._seen.add(s)
-                self.nodes.append(s)
-        key = (src, dst, label)
-        if key not in self._edge_set:
-            self._edge_set.add(key)
-            self.edges.append(key)
-
-    def __post_init__(self):
-        self._seen = {self.root}
-        self.nodes.append(self.root)
+    nodes: list[int]                      # first-seen order, root first
+    edges: list[tuple[int, int, str]]     # first-seen order
 
 
 def build_stt(
@@ -46,17 +30,20 @@ def build_stt(
     templates: TemplateSet,
 ) -> TransitionTree:
     compiled = CompiledRegions(regions)
-    tree = TransitionTree(root=state_hash_from_snapshots(compiled, []))
+    root = state_hash_from_snapshots(compiled, [])
+    # dicts as insertion-ordered sets
+    nodes = {root: None}
+    edges: dict[tuple[int, int, str], None] = {}
     for tc in seeds:
         result = probe.submit(serialize_payload(tc))
-        prev = tree.root
+        prev = root
         for i, sr in enumerate(result.per_syscall):
             sh = state_hash_from_snapshots(compiled, sr.snapshots)
             if sh != prev:
-                name = templates.by_ordinal[tc.calls[i].ordinal].name
-                tree.add_edge(prev, sh, name)
+                nodes[sh] = None
+                edges[prev, sh, templates.by_ordinal[tc.calls[i].ordinal].name] = None
                 prev = sh
-    return tree
+    return TransitionTree(root, list(nodes), list(edges))
 
 
 def to_dot(tree: TransitionTree) -> str:

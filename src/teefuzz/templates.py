@@ -13,7 +13,7 @@ encoding of syscall names.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -30,30 +30,25 @@ class TemplateError(Exception):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-class ParamKind(Enum):
-    SCALAR32 = "scalar32"
-    SCALAR64 = "scalar64"
-    BUFFER = "buffer"
-    RESOURCE = "resource"
-    CONST_ENUM = "const_enum"
+class ArgKind(Enum):
+    """Kind of a template parameter and of the argument that fills it; the
+    value is the argument's tag on the wire (see payload.py)."""
+
+    SCALAR32 = 0
+    SCALAR64 = 1
+    BUFFER = 2
+    RESOURCE_REF = 3
+    CONST_ENUM = 4
 
 
 @dataclass(frozen=True)
 class ParamSpec:
     name: str
-    kind: ParamKind
+    kind: ArgKind
     range: tuple[int, int] | None = None      # scalars
     max_len: int | None = None                # buffers
     resource_kind: str | None = None          # resources
     allowed: tuple[int, ...] = ()             # const_enum
-
-    def __post_init__(self):
-        if self.kind is ParamKind.CONST_ENUM and not self.allowed:
-            raise TemplateError(f"enum param '{self.name}' has no allowed values")
-        if self.kind is ParamKind.BUFFER and (self.max_len is None or self.max_len < 0):
-            raise TemplateError(f"buffer param '{self.name}' needs max_len >= 0")
-        if self.kind is ParamKind.RESOURCE and not self.resource_kind:
-            raise TemplateError(f"resource param '{self.name}' names no kind")
 
 
 @dataclass(frozen=True)
@@ -65,17 +60,13 @@ class SyscallTemplate:
     is_helper: bool = False
 
 
-@dataclass
 class TemplateSet:
     """Validated, ordinal-indexed template collection."""
 
-    templates: list[SyscallTemplate]
-    by_name: dict[str, SyscallTemplate] = field(init=False)
-    by_ordinal: dict[int, SyscallTemplate] = field(init=False)
-
-    def __post_init__(self):
-        self.by_name = {t.name: t for t in self.templates}
-        self.by_ordinal = {t.ordinal: t for t in self.templates}
+    def __init__(self, templates: list[SyscallTemplate]):
+        self.templates = templates
+        self.by_name = {t.name: t for t in templates}
+        self.by_ordinal = {t.ordinal: t for t in templates}
 
     def __len__(self):
         return len(self.templates)
@@ -126,20 +117,20 @@ def _parse_param(text: str, lineno: int) -> ParamSpec:
         hi = int(m.group(2)) if m.group(2) else U32_MAX
         if lo > hi or hi > U32_MAX:
             raise TemplateError(f"bad s32 range on '{name}'", lineno)
-        return ParamSpec(name, ParamKind.SCALAR32, range=(lo, hi))
+        return ParamSpec(name, ArgKind.SCALAR32, range=(lo, hi))
     if kind == "s64":
-        return ParamSpec(name, ParamKind.SCALAR64, range=(0, U64_MAX))
+        return ParamSpec(name, ArgKind.SCALAR64, range=(0, U64_MAX))
     m = _BUF_RE.match(kind)
     if m:
         max_len = int(m.group(1))
         if max_len > 0xFFFF:
             raise TemplateError(f"buffer '{name}' max_len exceeds 65535", lineno)
-        return ParamSpec(name, ParamKind.BUFFER, max_len=max_len)
+        return ParamSpec(name, ArgKind.BUFFER, max_len=max_len)
     if kind.startswith("res:"):
         rkind = kind[4:].strip()
         if not rkind.isidentifier():
             raise TemplateError(f"bad resource kind on '{name}'", lineno)
-        return ParamSpec(name, ParamKind.RESOURCE, resource_kind=rkind)
+        return ParamSpec(name, ArgKind.RESOURCE_REF, resource_kind=rkind)
     m = _ENUM_RE.match(kind)
     if m:
         raw = [v.strip() for v in m.group(1).split(",") if v.strip()]
@@ -151,7 +142,7 @@ def _parse_param(text: str, lineno: int) -> ParamSpec:
             raise TemplateError(f"non-integer enum value on '{name}'", lineno)
         if any(not 0 <= v <= U32_MAX for v in allowed):
             raise TemplateError(f"enum value out of u32 range on '{name}'", lineno)
-        return ParamSpec(name, ParamKind.CONST_ENUM, allowed=allowed)
+        return ParamSpec(name, ArgKind.CONST_ENUM, allowed=allowed)
     raise TemplateError(f"unknown kind '{kind}' on param '{name}'", lineno)
 
 
@@ -190,7 +181,7 @@ def parse_templates(text: str) -> TemplateSet:
     produced = {t.produces_resource for t in templates if t.produces_resource}
     for t in templates:
         for p in t.params:
-            if p.kind is ParamKind.RESOURCE and p.resource_kind not in produced:
+            if p.kind is ArgKind.RESOURCE_REF and p.resource_kind not in produced:
                 raise TemplateError(
                     f"template '{t.name}' consumes resource kind "
                     f"'{p.resource_kind}' that no template produces"

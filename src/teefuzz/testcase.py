@@ -15,12 +15,11 @@ one that repair must fix on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from random import Random
 from typing import NamedTuple
 
 from .templates import (
-    ParamKind,
+    ArgKind,
     ParamSpec,
     SyscallTemplate,
     TemplateSet,
@@ -38,23 +37,6 @@ _INTERESTING_U32 = (
 )
 
 _DANGLING = -1
-
-
-class ArgKind(Enum):
-    SCALAR32 = 0
-    SCALAR64 = 1
-    BUFFER = 2
-    RESOURCE_REF = 3
-    CONST_ENUM = 4
-
-
-_KIND_FOR_PARAM = {
-    ParamKind.SCALAR32: ArgKind.SCALAR32,
-    ParamKind.SCALAR64: ArgKind.SCALAR64,
-    ParamKind.BUFFER: ArgKind.BUFFER,
-    ParamKind.RESOURCE: ArgKind.RESOURCE_REF,
-    ParamKind.CONST_ENUM: ArgKind.CONST_ENUM,
-}
 
 
 class ArgValue(NamedTuple):
@@ -122,7 +104,7 @@ def validate_testcase(
             continue
         for j, (arg, spec) in enumerate(zip(call.args, t.params)):
             where = f"call {i} ({t.name}) arg {j} ({spec.name})"
-            if arg.kind is not _KIND_FOR_PARAM[spec.kind]:
+            if arg.kind is not spec.kind:
                 violations.append(f"{where}: tag {arg.kind.name} does not match spec")
                 continue
             if arg.kind is ArgKind.RESOURCE_REF:
@@ -166,16 +148,16 @@ def _gen_scalar(rng: Random, lo: int, hi: int) -> int:
 def _gen_arg_value(
     rng: Random, spec: ParamSpec, producers: dict[str, list[int]]
 ) -> ArgValue:
-    if spec.kind is ParamKind.SCALAR32:
+    if spec.kind is ArgKind.SCALAR32:
         return ArgValue.scalar32(_gen_scalar(rng, *spec.range))
-    if spec.kind is ParamKind.SCALAR64:
+    if spec.kind is ArgKind.SCALAR64:
         if rng.random() < 0.5:
             return ArgValue.scalar64(_gen_scalar(rng, 0, U32_MAX))
         return ArgValue.scalar64(rng.randint(0, U64_MAX))
-    if spec.kind is ParamKind.BUFFER:
+    if spec.kind is ArgKind.BUFFER:
         length = rng.randint(0, spec.max_len)
         return ArgValue.buffer(bytes(rng.getrandbits(8) for _ in range(length)))
-    if spec.kind is ParamKind.CONST_ENUM:
+    if spec.kind is ArgKind.CONST_ENUM:
         return ArgValue.const_enum(rng.choice(spec.allowed))
     # resource: caller guarantees at least one producer index exists
     idx_list = producers[spec.resource_kind]
@@ -203,7 +185,7 @@ class _Builder:
         cost = 1
         for p in t.params:
             if (
-                p.kind is ParamKind.RESOURCE
+                p.kind is ArgKind.RESOURCE_REF
                 and p.resource_kind not in self.producers
                 and p.resource_kind not in seen
             ):
@@ -216,7 +198,7 @@ class _Builder:
     def emit(self, t: SyscallTemplate) -> int:
         """Append `t` (producers first); returns its index."""
         for p in t.params:
-            if p.kind is ParamKind.RESOURCE and p.resource_kind not in self.producers:
+            if p.kind is ArgKind.RESOURCE_REF and p.resource_kind not in self.producers:
                 producer = self.rng.choice(
                     self.templates.producers_of(p.resource_kind)
                 )
@@ -246,7 +228,7 @@ def generate_testcase(
             b.emit(t)
     if not b.calls:
         standalone = [
-            t for t in choices if all(p.kind is not ParamKind.RESOURCE for p in t.params)
+            t for t in choices if all(p.kind is not ArgKind.RESOURCE_REF for p in t.params)
         ]
         b.emit(rng.choice(standalone))
     return TestCase(tuple(b.calls))
@@ -436,7 +418,7 @@ def _mutate_once(
             t = templates.by_ordinal[calls[i].ordinal]
             j = rng.randrange(len(t.params))
             spec = t.params[j]
-            if spec.kind is ParamKind.RESOURCE:
+            if spec.kind is ArgKind.RESOURCE_REF:
                 producers = _producer_indices(calls, templates, upto=i)
                 if not producers.get(spec.resource_kind):
                     continue

@@ -240,3 +240,29 @@ def test_infer_state_that_infers_no_region_is_an_error(tmp_path, capsys, knob):
     captured = capsys.readouterr()
     assert captured.err == "error: inferred 0 regions; raise infer_budget\n"
     assert captured.out == "" and regions.read_text() == "operation 12 4\n"
+
+
+def writer_argv(tmp_path, writer, out) -> list[str]:
+    """Command line that runs `writer` with its output file at `out`."""
+    if writer == "infer-state":
+        config = tmp_path / "infer.cfg"
+        config.write_text(f"infer_budget = 300\nregions_file = {out}\n")
+        return ["infer-state", str(config)]
+    if writer == "plot":
+        stats = tmp_path / "stats.jsonl"
+        row = {"execs": 1000, "branches": 300, "states": 40, "crashes": 2, "syscalls": 14000}
+        stats.write_text(json.dumps(row) + "\n")
+        return ["plot", str(stats), "-o", str(out)]
+    regions = tmp_path / "regions.txt"
+    regions.write_text("".join(f"{kind} {off} 4\n" for kind, off in GROUND_TRUTH_REGIONS))
+    corpus = Path(bundled_template_path()).parent / "seeds"
+    return ["stt-export", str(corpus), "--regions", str(regions), "-o", str(out)]
+
+
+@pytest.mark.parametrize("writer", ["infer-state", "plot", "stt-export"])
+def test_an_output_file_that_cannot_be_written_is_an_error(tmp_path, capsys, writer):
+    out = tmp_path / "missing" / "out.txt"
+    assert main(writer_argv(tmp_path, writer, out)) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert captured.out == "" and not out.parent.exists()

@@ -20,7 +20,7 @@ from teefuzz.minitee import (
     MiniTee,
 )
 from teefuzz.payload import serialize_payload
-from teefuzz.templates import ParamKind
+from teefuzz.templates import ArgKind
 from teefuzz.testcase import ArgValue, Syscall, TestCase, generate_testcase, mutate_testcase
 from teefuzz.tracecov import NOISE_RANGE, SECURE_RANGE
 
@@ -328,7 +328,7 @@ def ref_to_no_earlier_call(tc, i, templates, rng):
 def buffer_in_scalar_slot(tc, i, templates, rng):
     params = templates.by_ordinal[tc.calls[i].ordinal].params
     for j, param in enumerate(params):
-        if param.kind is not ParamKind.BUFFER:
+        if param.kind is not ArgKind.BUFFER:
             n = rng.choice((0, 1, 16, 0xA0, rng.randrange(0x1_0000)))
             buf = ArgValue.buffer(bytes(n))
             yield replace_arg(tc, i, j, buf), replace_arg(tc, i, j, ArgValue.scalar32(n))

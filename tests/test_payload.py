@@ -10,12 +10,12 @@ from teefuzz.payload import (
     deserialize_payload,
     serialize_payload,
 )
-from teefuzz.templates import U32_MAX, U64_MAX
+from teefuzz.templates import U32_MAX, U64_MAX, ArgKind
 from teefuzz.testcase import (
-    ArgKind,
     ArgValue,
     Syscall,
     TestCase,
+    _gen_arg_value,
     generate_testcase,
     mutate_testcase,
 )
@@ -347,3 +347,12 @@ def test_decoder_matches_the_reference_on_damaged_payloads(templates):
         PayloadErrorCode.UNKNOWN_ORDINAL,
         PayloadErrorCode.UNKNOWN_ARG_TAG,
     }
+
+
+def test_each_param_kind_is_its_args_kind_and_wire_tag(templates):
+    rng = Random(3)
+    specs = [spec for t in templates for spec in t.params]
+    for spec in specs:
+        arg = _gen_arg_value(rng, spec, {spec.resource_kind: [0]})
+        assert arg.kind is spec.kind
+        assert spec.kind.value == _TAG[spec.kind]

@@ -1,7 +1,7 @@
 import pytest
 
 from teefuzz.templates import (
-    ParamKind,
+    ArgKind,
     TemplateError,
     load_bundled_templates,
     parse_templates,
@@ -46,16 +46,23 @@ def test_kind_grammar():
         "mk(a:s32[1..9], b:s64, c:buf[32], e:enum{1,0x10,3}) -> T\nuse(t:res:T)\n"
     )
     a, b, c, e = ts.by_name["mk"].params
-    assert a.kind is ParamKind.SCALAR32 and a.range == (1, 9)
-    assert b.kind is ParamKind.SCALAR64
-    assert c.kind is ParamKind.BUFFER and c.max_len == 32
-    assert e.kind is ParamKind.CONST_ENUM and e.allowed == (1, 16, 3)
+    assert a.kind is ArgKind.SCALAR32 and a.range == (1, 9)
+    assert b.kind is ArgKind.SCALAR64
+    assert c.kind is ArgKind.BUFFER and c.max_len == 32
+    assert e.kind is ArgKind.CONST_ENUM and e.allowed == (1, 16, 3)
     assert ts.by_name["use"].params[0].resource_kind == "T"
 
 
 def test_enum_requires_values():
     with pytest.raises(TemplateError):
         parse_templates("x(e:enum{})\n")
+
+
+@pytest.mark.parametrize("param", ["r:res:", "b:buf[]"])
+def test_empty_resource_kind_or_buffer_length_is_rejected_at_its_line(param):
+    with pytest.raises(TemplateError) as exc:
+        parse_templates(f"ok()\nx({param})\n")
+    assert exc.value.line == 2
 
 
 def test_helper_flag_and_resource_production():
@@ -81,5 +88,5 @@ def test_every_resource_param_in_bundle_is_producible():
     produced = {t.produces_resource for t in ts if t.produces_resource}
     for t in ts:
         for p in t.params:
-            if p.kind is ParamKind.RESOURCE:
+            if p.kind is ArgKind.RESOURCE_REF:
                 assert p.resource_kind in produced

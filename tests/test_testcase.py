@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teefuzz.templates import ParamKind, parse_templates
+from teefuzz.templates import ArgKind, parse_templates
 from teefuzz.testcase import (
     _DANGLING,
-    ArgKind,
     ArgValue,
     Syscall,
     TestCase,
@@ -279,7 +278,7 @@ def _mutate_once_reference(seed, templates, rng, max_len, record):
             t = templates.by_ordinal[calls[i].ordinal]
             j = rng.randrange(len(t.params))
             spec = t.params[j]
-            if spec.kind is ParamKind.RESOURCE:
+            if spec.kind is ArgKind.RESOURCE_REF:
                 producers = _producer_indices(calls, templates, upto=i)
                 if not producers.get(spec.resource_kind):
                     continue
