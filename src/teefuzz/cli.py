@@ -181,7 +181,11 @@ def cmd_stt_export(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    lines = Path(args.stats).read_text().splitlines()
+    try:
+        lines = Path(args.stats).read_text().splitlines()
+    except UnicodeDecodeError as e:
+        print(f"error: {args.stats}: {e}", file=sys.stderr)
+        return EXIT_ERROR
     rows = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():

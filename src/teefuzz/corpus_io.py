@@ -131,7 +131,7 @@ def load_seed_corpus(
     for f in files:
         try:
             tc = parse_program(f.read_text(), templates)
-        except ProgramParseError as e:
+        except (ProgramParseError, UnicodeDecodeError) as e:
             log.warning("skipping seed %s: %s", f.name, e)
             continue
         violations = validate_testcase(tc, templates, max_len)

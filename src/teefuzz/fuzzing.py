@@ -1,11 +1,12 @@
 """The main fuzzing loop with composite state+branch feedback.
 
-The corpus is two maps keyed by state hash: SeedMap holds per-state seed
-buckets, HitMap counts how often each state was reached.  Selection picks
-a state inversely to its hit count, then a seed inside the bucket
-proportionally to its branch-coverage size; preservation adds seeds that
-reach new states or new branches.  There is no triage stage: a test case
-is executed once, plus a single confirmation replay when it crashes.
+The corpus lives in the SeedSelector, keyed by state hash: its `buckets`
+hold each state's seeds and its `hits` count how often each state was
+reached.  Selection picks a state inversely to its hit count, then a seed
+inside the bucket proportionally to its branch-coverage size;
+preservation adds seeds that reach new states or new branches.  There is
+no triage stage: a test case is executed once, plus a single confirmation
+replay when it crashes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
@@ -60,7 +62,6 @@ class CampaignReport:
     executions: int = 0
     unique_branches: int = 0
     unique_states: int = 0
-    unique_crashes: list[CrashId] = field(default_factory=list)
     timeline: list[tuple[int, int, int, int]] = field(default_factory=list)
     crashes: list[CrashRecord] = field(default_factory=list)
     # loop accounting for the no-triage invariant:
@@ -72,6 +73,10 @@ class CampaignReport:
     crash_replays: int = 0
     # calls executed by the fed-back submissions (crash replays excluded)
     syscalls: int = 0
+
+    @property
+    def unique_crashes(self) -> list[CrashId]:
+        return [c.crash_id for c in self.crashes]
 
 
 def crash_id_of(fault: FaultRecord) -> CrashId:
@@ -85,25 +90,20 @@ def preserve(
     testcase: TestCase,
     per_syscall: list[tuple[set[int], int]],
     global_cov: set[int],
-    seedmap: dict[int, list[SeedNode]],
-    hitmap: dict[int, int],
+    selector: SeedSelector,
 ) -> list[int]:
-    """Fold one execution's feedback into the corpus maps.
+    """Decide which buckets of `selector` one execution's test case joins.
 
     per_syscall pairs each executed call's branch-ID set with its state
     hash.  New states open buckets; new branches append a node to the
-    bucket of the state the triggering call produced.  Hit counts bump
-    once per state occurrence.  Returns the states that gained a node
-    (empty when the execution contributed nothing new).
+    bucket of the state the triggering call produced.  Returns the states
+    that gained a node (empty when the execution contributed nothing new).
     """
+    buckets = selector.buckets
     node_states: list[int] = []
-    seen_here: set[int] = set()
     for cov, sh in per_syscall:
-        hitmap[sh] = hitmap.get(sh, 0) + 1
-        wants_node = sh not in seedmap or not cov <= global_cov
-        if wants_node and sh not in seen_here:
+        if (sh not in buckets or not cov <= global_cov) and sh not in node_states:
             node_states.append(sh)
-            seen_here.add(sh)
     if not node_states:
         # every call's coverage is already in global_cov
         return node_states
@@ -112,21 +112,25 @@ def preserve(
         union |= cov
     node = SeedNode(testcase, len(union))
     for sh in node_states:
-        seedmap.setdefault(sh, []).append(node)
+        selector.note_node(sh, node)
     global_cov |= union
     return node_states
 
 
 class SeedSelector:
-    """Incremental two-stage weighted selection over the corpus maps.
+    """The corpus, and incremental two-stage weighted selection over it.
 
-    State weights (reciprocal hit counts) live in a Fenwick tree so a
-    campaign pays O(log n) per pick and per hit-count bump instead of
-    rescanning every state; the in-bucket stage is a short scan over the
-    bucket's coverage sizes.
+    `buckets` maps each state to its seed nodes and `hits` each state to
+    its hit count.  State weights (reciprocal hit counts) live in a
+    Fenwick tree, in the order states were first hit, so a campaign pays
+    O(log n) per pick and per hit-count bump instead of rescanning every
+    state; the in-bucket stage is a short scan over the bucket's coverage
+    sizes.
     """
 
     def __init__(self):
+        self.buckets: dict[int, list[SeedNode]] = {}
+        self.hits: dict[int, int] = {}
         self._states: list[int] = []
         self._pos: dict[int, int] = {}
         self._tree: list[float] = [0.0]  # 1-based
@@ -155,22 +159,23 @@ class SeedSelector:
 
     # corpus updates --------------------------------------------------------
 
-    def note_hits(self, state: int, new_hits: int, delta: int) -> None:
-        """Record that `state` now has `new_hits` hits (bumped by `delta`)."""
-        pos = self._pos.get(state)
-        if pos is None:
+    def note_hits(self, state: int, k: int) -> None:
+        """Count `k` more hits of `state`."""
+        h = self.hits[state] = self.hits.get(state, 0) + k
+        if h == k:
             self._pos[state] = len(self._states)
             self._states.append(state)
-            self._append(1.0 / new_hits)
+            self._append(1.0 / h)
         else:
-            self._add(pos, 1.0 / new_hits - 1.0 / (new_hits - delta))
+            self._add(self._pos[state], 1.0 / h - 1.0 / (h - k))
 
     def note_node(self, state: int, node: SeedNode) -> None:
+        self.buckets.setdefault(state, []).append(node)
         self._bucket_cov[state] = self._bucket_cov.get(state, 0) + node.cov_size
 
     # selection ----------------------------------------------------------------
 
-    def pick(self, seedmap: dict[int, list[SeedNode]], rng: Random) -> SeedNode:
+    def pick(self, rng: Random) -> SeedNode:
         n = len(self._states)
         if n == 0:
             raise LookupError("empty seed corpus")
@@ -185,7 +190,7 @@ class SeedSelector:
                 i = ni
             bit >>= 1
         state = self._states[min(i, n - 1)]
-        bucket = seedmap[state]
+        bucket = self.buckets[state]
         total_cov = self._bucket_cov.get(state, 0)
         if total_cov <= 0:
             return bucket[rng.randrange(len(bucket))]
@@ -199,7 +204,7 @@ class SeedSelector:
 
 
 class FuzzCampaign:
-    """One campaign: owns the corpus maps and drives a probe endpoint."""
+    """One campaign: owns the seed selector and drives a probe endpoint."""
 
     def __init__(
         self,
@@ -222,13 +227,11 @@ class FuzzCampaign:
         if self.state_feedback and not self.regions:
             raise ValueError("composite mode needs at least one inferred state region")
         self.rng = Random(cfg.campaign_seed)
-        self.seedmap: dict[int, list[SeedNode]] = {}
-        self.hitmap: dict[int, int] = {}
         self.selector = SeedSelector()
+        self.seedmap = self.selector.buckets
         self.global_cov: set[int] = set()
         # states are measured whenever there are regions, whatever the mode
         self.measured_states: set[int] = set()
-        self.known_crashes: set[CrashId] = set()
         self.report = CampaignReport()
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self._stats_fp = None
@@ -262,7 +265,7 @@ class FuzzCampaign:
             self.report.executions,
             len(self.global_cov),
             len(self.measured_states),
-            len(self.report.unique_crashes),
+            len(self.report.crashes),
         )
         self.report.timeline.append(row)
         if self._stats_fp is not None:
@@ -302,15 +305,10 @@ class FuzzCampaign:
         result = self.probe.submit(payload)
         self.report.submissions += 1
         per_syscall = self._feedback(result)
-        occurrences: dict[int, int] = {}
-        for _, sh in per_syscall:
-            occurrences[sh] = occurrences.get(sh, 0) + 1
-        added = preserve(tc, per_syscall, self.global_cov, self.seedmap, self.hitmap)
-        for sh, k in occurrences.items():
-            self.selector.note_hits(sh, self.hitmap[sh], k)
-        for sh in added:
-            self.selector.note_node(sh, self.seedmap[sh][-1])
-        if added:
+        # once per distinct state, in first-occurrence order
+        for sh, k in Counter(sh for _, sh in per_syscall).items():
+            self.selector.note_hits(sh, k)
+        if preserve(tc, per_syscall, self.global_cov, self.selector):
             self._persist_seed(tc, payload)
         if result.fault is not None:
             self._handle_fault(tc, payload, result.fault)
@@ -320,7 +318,7 @@ class FuzzCampaign:
 
     def _handle_fault(self, tc: TestCase, payload: bytes, fault: FaultRecord) -> None:
         crash_id = crash_id_of(fault)
-        if crash_id in self.known_crashes:
+        if crash_id in self.report.unique_crashes:
             return
         # confirm determinism with a single replay before recording
         replay = self.probe.submit(payload)
@@ -329,8 +327,6 @@ class FuzzCampaign:
         if replay.fault is None or crash_id_of(replay.fault) != crash_id:
             log.warning("crash %s did not reproduce; dropping", crash_id)
             return
-        self.known_crashes.add(crash_id)
-        self.report.unique_crashes.append(crash_id)
         rec = CrashRecord(
             crash_id=crash_id,
             kind=fault.kind,
@@ -359,7 +355,7 @@ class FuzzCampaign:
                     tc = generate_testcase(self.templates, self.rng, cfg.max_len)
                     self.report.generated += 1
                 else:
-                    node = self.selector.pick(self.seedmap, self.rng)
+                    node = self.selector.pick(self.rng)
                     tc = mutate_testcase(node.testcase, self.templates, self.rng, cfg.max_len)
                     self.report.mutated += 1
                 self._execute(tc)
@@ -376,7 +372,7 @@ class FuzzCampaign:
             self.report.executions,
             self.report.unique_branches,
             self.report.unique_states,
-            len(self.report.unique_crashes),
+            len(self.report.crashes),
             time.monotonic() - self._t0,
         )
         return self.report

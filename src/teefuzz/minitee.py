@@ -148,8 +148,8 @@ class HandleSnapshot(NamedTuple):
 
 
 class SyscallResult(NamedTuple):
-    trace: list[TracePacket]
-    snapshots: list[HandleSnapshot]
+    trace: tuple[TracePacket, ...]
+    snapshots: tuple[HandleSnapshot, ...]
     return_code: int
 
 
@@ -277,22 +277,21 @@ class _Node:
     """The target just after one call of a cached call prefix.
 
     `key` is (the node of the prefix one call shorter, or None for the
-    power-on state; the call's payload bytes).  The call's trace and
-    snapshots are tuples of shared, immutable objects.  `state` packs, as
-    unsigned 16-bit words, the handle count, then per handle (kind | live
-    << 1, max_key_bits, key_len) and per entry of the attrs, ivs, chunks
-    and mems maps (address index, map index, value).  Live handle buffers
-    are the snapshots' data; a freed handle's buffer is never read again,
-    so it is not kept.
+    power-on state; the call's payload bytes).  `result` is the call's
+    immutable SyscallResult, handed out as it is each time the cache
+    serves the call; `value` is what a later ref to the call reads.
+    `state` packs, as unsigned 16-bit words, the handle count, then per
+    handle (kind | live << 1, max_key_bits, key_len) and per entry of the
+    attrs, ivs, chunks and mems maps (address index, map index, value).
+    Live handle buffers are the result's snapshot data; a freed handle's
+    buffer is never read again, so it is not kept.
     """
 
-    __slots__ = ("key", "trace", "snapshots", "ret", "value", "state")
+    __slots__ = ("key", "result", "value", "state")
 
-    def __init__(self, key, trace, snapshots, ret, value, state):
+    def __init__(self, key, result, value, state):
         self.key = key
-        self.trace = trace
-        self.snapshots = snapshots
-        self.ret = ret
+        self.result = result
         self.value = value
         self.state = state
 
@@ -338,7 +337,6 @@ class MiniTee:
         self.ivs: dict[int, int] = {}     # addr -> iv length
         self.chunks: dict[int, int] = {}  # addr -> chunk length
         self.mems: dict[int, int] = {}    # addr -> 1 while allocated, 0 once freed
-        self._live_count = {"operation": 0, "object": 0}
         self._next_handle = 0
         self._next_addr = 0
         self._call_key = 0
@@ -349,8 +347,8 @@ class MiniTee:
         Call i's noise key is the splitmix64 finalizer of the campaign key
         xor the CRC-32 of the payload's call bytes up to and including call
         i, so call i's whole result depends on calls 0..i only, and a cached
-        prefix gives the result its calls would.  Each result gets its own
-        trace and snapshots lists.
+        prefix gives the result its calls would.  A cached call's
+        SyscallResult is the very object its first run made.
         """
         bounds: list[int] = []
         try:
@@ -369,9 +367,7 @@ class MiniTee:
             if node is None:
                 break
             path.append(node)
-            per_syscall.append(
-                _new(SyscallResult, (list(node.trace), list(node.snapshots), node.ret))
-            )
+            per_syscall.append(node.result)
             results.append(node.value)
             parent = node
             start = end
@@ -417,13 +413,11 @@ class MiniTee:
             w.b(14, 2, 0 if ret == RET_OK else 1 | (2 if ret in _STATE_ERRORS else 0))
             w.b(15, 1, 1)
             results.append(value)
-            trace, snapshots = w.trace, self._refresh_noise(noise_key)
-            per_syscall.append(_new(SyscallResult, (trace, snapshots, ret)))
+            sr = _new(SyscallResult, (tuple(w.trace), self._refresh_noise(noise_key), ret))
+            per_syscall.append(sr)
             slot, tag = crc & (_SEEN_SLOTS - 1), crc >> 16
             if admit and seen[slot] == tag:
-                parent = _Node(
-                    (parent, call_bytes), tuple(trace), tuple(snapshots), ret, value, self._pack()
-                )
+                parent = _Node((parent, call_bytes), sr, value, self._pack())
                 cache[parent.key] = parent
                 path.append(parent)
             else:
@@ -439,7 +433,7 @@ class MiniTee:
 
     # --- internals --------------------------------------------------------------
 
-    def _refresh_noise(self, noise_key: int) -> list[HandleSnapshot]:
+    def _refresh_noise(self, noise_key: int) -> tuple[HandleSnapshot, ...]:
         """Rewrite the non-state regions of every live handle; snapshot them.
 
         A handle's noise word is the call's noise key xor its id, times an
@@ -463,7 +457,7 @@ class MiniTee:
             else:
                 _OBJ_NOISE.pack_into(buf, 16, k, k, k, k)
             snaps.append(_new(HandleSnapshot, (h.hid, h.kind, bytes(buf))))
-        return snaps
+        return tuple(snaps)
 
     def _pack(self) -> bytes:
         """The machine state but the live buffers, as _Node.state."""
@@ -479,8 +473,8 @@ class MiniTee:
         """Set the machine to its state just after `node`'s call."""
         words = memoryview(node.state).cast("H").tolist()
         self.reset()
-        handles, live = self.handles, self._live_count
-        snapshots = iter(node.snapshots)  # the live handles, in order
+        handles = self.handles
+        snapshots = iter(node.result.snapshots)  # the live handles, in order
         n = self._next_handle = words[0]
         for i in range(1, 3 * n + 1, 3):
             hid = 0x100 + (i + 2) // 3
@@ -488,7 +482,6 @@ class MiniTee:
             h = handles[hid] = _Handle(hid, kind, None)
             if words[i] & 2:
                 h.buf = bytearray(next(snapshots).data)
-                live[kind] += 1
             else:
                 h.live = False
             h.max_key_bits, h.key_len = words[i + 1], words[i + 2]
@@ -502,15 +495,13 @@ class MiniTee:
         hid = 0x100 + self._next_handle
         h = _Handle(hid, kind, bytearray(size))
         self.handles[hid] = h
-        self._live_count[kind] += 1
         if kind == "operation":
             ptr = _mix(self._call_key ^ (self._next_handle * 0xC2B2AE3D27D4EB4F))
             h.buf[40:44] = (ptr & 0xFFFFFFFF).to_bytes(4, "little")
         return h
 
-    def _free_handle(self, h: _Handle) -> None:
-        h.live = False
-        self._live_count[h.kind] -= 1
+    def _live_handles(self, kind: str) -> int:
+        return sum(h.live and h.kind == kind for h in self.handles.values())
 
     def _alloc_addr(self) -> int:
         self._next_addr += 1
@@ -561,7 +552,7 @@ class MiniTee:
         w.b(10, 5, _mag3(max_key) | ((mode & 3) << 3))
         if not w.bit(6, max_key <= MAX_KEY_BITS):
             return RET_NO_MEMORY, 0
-        if not w.bit(9, self._live_count["operation"] < MAX_LIVE_HANDLES):
+        if not w.bit(9, self._live_handles("operation") < MAX_LIVE_HANDLES):
             return RET_NO_MEMORY, 0
         h = self._alloc_handle("operation", OP_HANDLE_SIZE)
         h.max_key_bits = max_key
@@ -582,7 +573,7 @@ class MiniTee:
             return RET_BAD_HANDLE, 0
         w.b(4, 2, h.get32(12) & 3)
         w.b(5, 1, 1 if h.get32(16) == OS_ACTIVE else 0)
-        self._free_handle(h)
+        h.live = False
         return RET_OK, 0
 
     def _h_reset_operation(self, w, call, v):
@@ -779,7 +770,7 @@ class MiniTee:
         w.b(7, 5, _mag3(max_size) | ((otype & 3) << 3))
         if not w.bit(5, max_size <= MAX_OBJ_SIZE):
             return RET_NO_MEMORY, 0
-        if not w.bit(6, self._live_count["object"] < MAX_LIVE_HANDLES):
+        if not w.bit(6, self._live_handles("object") < MAX_LIVE_HANDLES):
             return RET_NO_MEMORY, 0
         h = self._alloc_handle("object", OBJ_HANDLE_SIZE)
         h.set32(0, otype)
@@ -793,7 +784,7 @@ class MiniTee:
         if h is None:
             return RET_BAD_HANDLE, 0
         w.b(3, 1, 1 if h.get32(8) & 1 else 0)
-        self._free_handle(h)
+        h.live = False
         return RET_OK, 0
 
     def _h_reset_transient_object(self, w, call, v):

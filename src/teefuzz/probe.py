@@ -16,9 +16,9 @@ class SimProbe:
     """In-process endpoint over one MiniTee instance.
 
     One endpoint serves one worker.  Every submit runs from the power-on
-    state, so results never depend on earlier submissions.  Results may
-    share immutable tuples and bytes (packets, snapshots) across submits,
-    while their lists are fresh, so a caller may change them freely.
+    state, so results never depend on earlier submissions.  Each result's
+    per_syscall list is fresh, but the SyscallResults in it are immutable
+    and may be the very objects an earlier submit returned.
     """
 
     def __init__(self, campaign_seed: int, templates=None):

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,12 @@ def test_infer_state_that_infers_no_region_is_an_error(tmp_path, capsys, knob):
     assert captured.out == "" and regions.read_text() == "operation 12 4\n"
 
 
+def ground_truth_regions_file(tmp_path) -> Path:
+    path = tmp_path / "regions.txt"
+    path.write_text("".join(f"{kind} {off} 4\n" for kind, off in GROUND_TRUTH_REGIONS))
+    return path
+
+
 def writer_argv(tmp_path, writer, out) -> list[str]:
     """Command line that runs `writer` with its output file at `out`."""
     if writer == "infer-state":
@@ -253,8 +260,7 @@ def writer_argv(tmp_path, writer, out) -> list[str]:
         row = {"execs": 1000, "branches": 300, "states": 40, "crashes": 2, "syscalls": 14000}
         stats.write_text(json.dumps(row) + "\n")
         return ["plot", str(stats), "-o", str(out)]
-    regions = tmp_path / "regions.txt"
-    regions.write_text("".join(f"{kind} {off} 4\n" for kind, off in GROUND_TRUTH_REGIONS))
+    regions = ground_truth_regions_file(tmp_path)
     corpus = Path(bundled_template_path()).parent / "seeds"
     return ["stt-export", str(corpus), "--regions", str(regions), "-o", str(out)]
 
@@ -266,3 +272,45 @@ def test_an_output_file_that_cannot_be_written_is_an_error(tmp_path, capsys, wri
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and str(out) in captured.err
     assert captured.out == "" and not out.parent.exists()
+
+
+def test_stt_export_skips_a_seed_that_is_not_utf8(tmp_path, capsys, caplog):
+    corpus = tmp_path / "seeds"
+    shutil.copytree(Path(bundled_template_path()).parent / "seeds", corpus)
+    (corpus / "zz.prog").write_bytes(b"\xff\xfe")
+    regions = ground_truth_regions_file(tmp_path)
+    out = tmp_path / "stt.dot"
+    assert main(["stt-export", str(corpus), "--regions", str(regions), "-o", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote {out}: 48 states, 61 transitions\n"
+    assert "skipping seed zz.prog" in caplog.text
+
+
+def non_utf8_argv(tmp_path, which, bad) -> list[str]:
+    """Command line that reads `bad` as its `which` input file."""
+    corpus = Path(bundled_template_path()).parent / "seeds"
+    regions = ground_truth_regions_file(tmp_path)
+    out = ["-o", str(tmp_path / "out")]
+    if which == "config":
+        return ["fuzz", str(bad), *out]
+    if which == "templates":
+        return ["stt-export", str(corpus), "--templates", str(bad), "--regions", str(regions), *out]
+    if which == "regions":
+        return ["stt-export", str(corpus), "--regions", str(bad), *out]
+    if which == "seed":
+        seeds = tmp_path / "seeds"
+        seeds.mkdir()
+        shutil.copy(bad, seeds / "only.prog")
+        return ["stt-export", str(seeds), "--regions", str(regions), *out]
+    return ["plot", str(bad), *out]
+
+
+@pytest.mark.parametrize("which", ["config", "templates", "regions", "seed", "stats"])
+def test_an_input_file_that_is_not_utf8_fails_with_a_message(tmp_path, capsys, which):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe\x00")
+    assert main(non_utf8_argv(tmp_path, which, bad)) in (EXIT_ERROR, EXIT_CONFIG)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert any(line.startswith(("error: ", "config error: ")) for line in err.splitlines())
+    if which == "stats":
+        assert err.startswith(f"error: {bad}: ")

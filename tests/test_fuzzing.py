@@ -1,14 +1,15 @@
 import hashlib
 import json
+from collections import Counter
 from random import Random
 
 import pytest
 
 from teefuzz.config import CampaignConfig
-from teefuzz.fuzzing import FuzzCampaign, SeedNode, crash_id_of, preserve
+from teefuzz.fuzzing import FuzzCampaign, SeedNode, SeedSelector, crash_id_of, preserve
 from teefuzz.minitee import GROUND_TRUTH_REGIONS, ExecutionResult, FaultRecord
 from teefuzz.probe import SimProbe
-from teefuzz.statevars import StateVarRegion
+from teefuzz.statevars import CompiledRegions, StateVarRegion, state_hash_from_snapshots
 from teefuzz.stt import build_stt, to_dot
 from test_statevars import empty_state_hash
 
@@ -17,8 +18,8 @@ BUDGET = 3_000
 
 
 def select_seed(
-    seedmap: dict[int, list[SeedNode]],
-    hitmap: dict[int, int],
+    buckets: dict[int, list[SeedNode]],
+    hits: dict[int, int],
     rng: Random,
 ) -> SeedNode:
     """Reference selection, O(n) per pick: rare states first, then
@@ -29,24 +30,24 @@ def select_seed(
     a share of the bucket total, falling back to uniform when every node
     in the bucket has empty coverage.
     """
-    if not seedmap:
+    if not buckets:
         raise LookupError("empty seed corpus")
     total = 0.0
     weights = []
-    for sh in seedmap:
-        w = 1.0 / hitmap[sh]
+    for sh in buckets:
+        w = 1.0 / hits[sh]
         weights.append(w)
         total += w
     r = rng.random() * total
     acc = 0.0
     bucket = None
-    for sh, w in zip(seedmap, weights):
+    for sh, w in zip(buckets, weights):
         acc += w
         if r < acc:
-            bucket = seedmap[sh]
+            bucket = buckets[sh]
             break
     if bucket is None:  # float edge: fall back to the last state
-        bucket = seedmap[next(reversed(seedmap))]
+        bucket = buckets[next(reversed(buckets))]
     total_cov = 0
     for node in bucket:
         total_cov += node.cov_size
@@ -76,9 +77,39 @@ def test_selector_picks_what_the_reference_picks(composite):
     campaign, _ = composite
     assert len(campaign.seedmap) > 100
     for k in range(10_000):
-        got = campaign.selector.pick(campaign.seedmap, Random(k))
-        want = select_seed(campaign.seedmap, campaign.hitmap, Random(k))
+        got = campaign.selector.pick(Random(k))
+        want = select_seed(campaign.seedmap, campaign.selector.hits, Random(k))
         assert got is want, f"draw {k}"
+
+
+class RecordingProbe:
+    """Probe that keeps every result it returns, in order."""
+
+    def __init__(self, probe):
+        self.probe = probe
+        self.results = []
+
+    def submit(self, payload, on_syscall=None):
+        result = self.probe.submit(payload, on_syscall)
+        self.results.append(result)
+        return result
+
+
+def test_selector_hits_count_the_fed_back_calls_of_each_state(templates, seed_corpus):
+    probe = RecordingProbe(SimProbe(1, templates))
+    config = CampaignConfig(budget=500, campaign_seed=1, mode="composite")
+    campaign = FuzzCampaign(config, probe, templates, seed_corpus, REGIONS)
+    report = campaign.run()
+    compiled = CompiledRegions(REGIONS)
+    want, known, results = Counter(), set(), iter(probe.results)
+    for result in results:
+        want.update(state_hash_from_snapshots(compiled, sr.snapshots) for sr in result.per_syscall)
+        if result.fault is not None and crash_id_of(result.fault) not in known:
+            known.add(crash_id_of(result.fault))
+            next(results)  # its confirmation replay, which is not fed back
+    assert report.crash_replays == len(known) > 0 and len(want) > 50
+    assert campaign.selector.hits == dict(want)
+    assert list(campaign.selector.hits) == list(campaign.seedmap)
 
 
 def test_no_triage_accounting(composite):
@@ -175,48 +206,46 @@ def test_stats_file_closed_when_run_raises(templates, seed_corpus, tmp_path):
 
 def test_preserve_opens_a_bucket_for_a_new_state(seed_corpus):
     tc = seed_corpus[0]
-    seedmap, hitmap, global_cov = {}, {}, set()
-    assert preserve(tc, [({1, 2}, 10), ({2}, 20)], global_cov, seedmap, hitmap) == [10, 20]
-    assert seedmap[10] == seedmap[20] and len(seedmap[10]) == 1
-    node = seedmap[10][0]
+    selector, global_cov = SeedSelector(), set()
+    assert preserve(tc, [({1, 2}, 10), ({2}, 20)], global_cov, selector) == [10, 20]
+    buckets = selector.buckets
+    assert buckets[10] == buckets[20] and len(buckets[10]) == 1
+    node = buckets[10][0]
     assert node.testcase is tc and node.cov_size == 2
-    assert hitmap == {10: 1, 20: 1}
+    # preserve decides nodes only; hits are the loop's to note
+    assert selector.hits == {}
     assert global_cov == {1, 2}
 
 
 def test_preserve_appends_one_node_to_the_bucket_of_the_state_with_a_new_branch(seed_corpus):
     old, tc = seed_corpus[0], seed_corpus[1]
-    seedmap, hitmap, global_cov = {}, {}, set()
-    preserve(old, [({1}, 10), ({2}, 20)], global_cov, seedmap, hitmap)
+    selector, global_cov = SeedSelector(), set()
+    preserve(old, [({1}, 10), ({2}, 20)], global_cov, selector)
     # branch 3 is new and first seen after the call that reached state 20;
     # state 10 is known and its call brought nothing new
-    added = preserve(tc, [({1}, 10), ({2, 3}, 20), ({3}, 20)], global_cov, seedmap, hitmap)
+    added = preserve(tc, [({1}, 10), ({2, 3}, 20), ({3}, 20)], global_cov, selector)
     assert added == [20]
-    assert [n.testcase for n in seedmap[10]] == [old]
-    assert [n.testcase for n in seedmap[20]] == [old, tc]
-    assert seedmap[20][1].cov_size == 3
+    assert [n.testcase for n in selector.buckets[10]] == [old]
+    assert [n.testcase for n in selector.buckets[20]] == [old, tc]
+    assert selector.buckets[20][1].cov_size == 3
     assert global_cov == {1, 2, 3}
 
 
-def test_preserve_counts_one_hit_per_state_occurrence(seed_corpus):
-    seedmap, hitmap, global_cov = {}, {}, set()
+def test_preserve_gives_a_state_reached_several_times_one_node(seed_corpus):
+    selector, global_cov = SeedSelector(), set()
     per_call = [(set(), 10), (set(), 10), (set(), 20), (set(), 10)]
-    preserve(seed_corpus[0], per_call, global_cov, seedmap, hitmap)
-    assert hitmap == {10: 3, 20: 1}
-    preserve(seed_corpus[1], per_call, global_cov, seedmap, hitmap)
-    assert hitmap == {10: 6, 20: 2}
-    # a state reached several times by one run still gets one node
-    assert [len(seedmap[10]), len(seedmap[20])] == [1, 1]
+    assert preserve(seed_corpus[0], per_call, global_cov, selector) == [10, 20]
+    assert preserve(seed_corpus[1], per_call, global_cov, selector) == []
+    assert [len(selector.buckets[10]), len(selector.buckets[20])] == [1, 1]
 
 
 def test_preserve_of_a_run_with_nothing_new_adds_no_node(seed_corpus):
-    seedmap, hitmap, global_cov = {}, {}, set()
-    preserve(seed_corpus[0], [({1, 2}, 10)], global_cov, seedmap, hitmap)
-    before = {sh: list(nodes) for sh, nodes in seedmap.items()}
+    selector, global_cov = SeedSelector(), set()
+    preserve(seed_corpus[0], [({1, 2}, 10)], global_cov, selector)
+    before = {sh: list(nodes) for sh, nodes in selector.buckets.items()}
     per_call = [({1}, 10), ({2}, 10)]
-    assert preserve(seed_corpus[1], per_call, global_cov, seedmap, hitmap) == []
-    assert seedmap == before
-    assert hitmap == {10: 3}
+    assert preserve(seed_corpus[1], per_call, global_cov, selector) == []
+    assert selector.buckets == before
     assert global_cov == {1, 2} and all(cov <= global_cov for cov, _ in per_call)
 
 
@@ -246,7 +275,7 @@ def test_dedup_keys_on_the_top_three_frames(templates, seed_corpus):
         probe.fault = f
         campaign._handle_fault(seed_corpus[0], b"payload", f)
     assert campaign.report.unique_crashes == [("a", "b", "c"), ("a", "b", "x")]
-    assert campaign.known_crashes == {("a", "b", "c"), ("a", "b", "x")}
+    assert [c.frames for c in campaign.report.crashes] == [fault.frames, other.frames]
     assert campaign.report.crash_replays == 2
 
 
@@ -281,7 +310,6 @@ def test_a_crash_that_does_not_replay_is_dropped_but_counted(templates, seed_cor
     report = campaign.run()
     assert probe.faults > 0
     assert report.unique_crashes == [] and report.crashes == []
-    assert campaign.known_crashes == set()
     # every first-time fault is replayed once, since none is ever recorded
     assert report.crash_replays == probe.faults
     assert report.submissions == (

@@ -602,20 +602,19 @@ def test_a_warm_target_gives_what_a_fresh_one_gives(templates, payload_stream):
     assert len(warm._cache) == CACHE_NODES
 
 
-def test_results_lists_are_the_callers_own(templates, seed_corpus):
+def test_a_cached_call_returns_the_result_it_cached(templates, seed_corpus):
     sim = MiniTee(1, templates)
     data = serialize_payload(seed_corpus[0])
     fresh = MiniTee(1, templates).execute_payload(data)
-    for _ in range(3):
-        # the first run records the prefixes, the second caches them, and
-        # the third is served from the cache
-        result = sim.execute_payload(data)
-        assert result == fresh
-        for sr in result.per_syscall:
-            sr.trace.reverse()
-            sr.trace.append(sr.trace[0])
-            sr.snapshots.append(sr.snapshots[0] if sr.snapshots else None)
-    assert sim.execute_payload(data) == fresh
+    # the first run records the prefixes, the second caches them, and the
+    # third is served from the cache
+    first, cached, served = (sim.execute_payload(data) for _ in range(3))
+    assert first == cached == served == fresh
+    assert served.per_syscall is not cached.per_syscall
+    assert len(served.per_syscall) == len(seed_corpus[0].calls)
+    for was, sr in zip(cached.per_syscall, served.per_syscall):
+        assert sr is was
+        assert type(sr.trace) is tuple and type(sr.snapshots) is tuple
 
 
 def test_a_full_cache_holds_at_most_2_mb(templates, payload_stream):
